@@ -58,8 +58,7 @@
 //!       [fleet_requests=N] [swap=N] [slow=MS]`
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use af_bench::{cache_arg, fault_arg, kv_list, kv_num, obs_arg, Scale};
@@ -68,7 +67,9 @@ use af_fleet::{
     WorkerIdentity,
 };
 use af_model::{Lineage, ModelRegistry};
-use af_serve::{ModelBundle, ServeConfig, Server};
+use af_serve::api::{ModelsResponse, RouteAccepted};
+use af_serve::http::{self, HttpConn};
+use af_serve::{JobRecord, ModelBundle, ServeConfig, Server};
 use analogfold::{GnnConfig, ThreeDGnn};
 use serde::Serialize;
 
@@ -187,82 +188,27 @@ struct RouteLatencyRow {
     p99_ms: f64,
 }
 
-/// One-shot HTTP exchange on a fresh connection; returns (status, body).
-fn http_once(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return (0, String::new());
-    };
-    let _ = stream.set_nodelay(true);
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    if stream.write_all(raw.as_bytes()).is_err() {
-        return (0, String::new());
-    }
-    let mut response = String::new();
-    if BufReader::new(stream)
-        .read_to_string(&mut response)
-        .is_err()
-    {
-        return (0, String::new());
-    }
-    let status = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
-}
-
-/// Crude scalar field extraction from a flat JSON object body.
-fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &body[body.find(&pat)? + pat.len()..];
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-fn json_status(body: &str) -> String {
-    let pat = "\"status\":\"";
-    body.find(pat)
-        .map(|i| {
-            body[i + pat.len()..]
-                .chars()
-                .take_while(|&c| c != '"')
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// Submits one cheap route job pinned to `route_threads` workers and polls
 /// it to completion, returning submit-to-done latency in milliseconds.
-fn route_job_ms(addr: std::net::SocketAddr, route_threads: u64, seed: u64) -> Option<f64> {
+fn route_job_ms(addr: SocketAddr, route_threads: u64, seed: u64) -> Option<f64> {
+    let addr = addr.to_string();
     let body = format!(
         "{{\"restarts\":1,\"lbfgs_iters\":2,\"n_derive\":1,\"seed\":{seed},\
          \"route_threads\":{route_threads}}}"
     );
     let t0 = Instant::now();
-    let (status, accepted) = http_once(addr, "POST", "/v1/route", &body);
-    if status != 202 {
+    let accepted = http::request(&addr, "POST", "/v1/route", &[], body.as_bytes()).ok()?;
+    if accepted.status != 202 {
         return None;
     }
-    let id = json_u64(&accepted, "id")?;
+    let id = accepted.json::<RouteAccepted>().ok()?.id;
     let deadline = Instant::now() + std::time::Duration::from_secs(600);
     loop {
-        let (status, record) = http_once(addr, "GET", &format!("/v1/jobs/{id}"), "");
-        if status != 200 || Instant::now() > deadline {
+        let record = http::request(&addr, "GET", &format!("/v1/jobs/{id}"), &[], b"").ok()?;
+        if record.status != 200 || Instant::now() > deadline {
             return None;
         }
-        match json_status(&record).as_str() {
+        match record.json::<JobRecord>().ok()?.status.as_str() {
             "done" => return Some(t0.elapsed().as_secs_f64() * 1e3),
             "failed" => return None,
             _ => std::thread::sleep(std::time::Duration::from_millis(20)),
@@ -270,70 +216,32 @@ fn route_job_ms(addr: std::net::SocketAddr, route_threads: u64, seed: u64) -> Op
     }
 }
 
-/// Sends one predict request on an open keep-alive connection and returns
-/// `(status, cache_hit, fleet_worker)` once the body has been fully read
-/// (`fleet_worker` is empty when not going through a fleet front). A status
-/// of `0` means the connection dropped mid-response (possible while a
-/// supervised collector restarts under injected faults) — the caller must
-/// reconnect.
-fn predict_once(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    body: &str,
-) -> (u16, bool, String) {
-    let raw = format!(
-        "POST /v1/predict HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    if stream.write_all(raw.as_bytes()).is_err() {
-        return (0, false, String::new());
+/// Sends one predict on the keep-alive connection in `conn`, dialling
+/// `addr` first when there is none, and returns `(ok, cache_hit,
+/// fleet_worker)` (`fleet_worker` is empty when not going through a fleet
+/// front). A failed exchange — a dropped connection, possible while a
+/// supervised collector restarts under injected faults — is not ok and
+/// empties `conn`, so the next call reconnects.
+fn predict_once(conn: &mut Option<HttpConn>, addr: &str, body: &str) -> (bool, bool, String) {
+    if conn.is_none() {
+        *conn = HttpConn::connect(addr).ok();
     }
-
-    let mut status_line = String::new();
-    match reader.read_line(&mut status_line) {
-        Ok(0) | Err(_) => return (0, false, String::new()),
-        Ok(_) => {}
+    let sent = conn
+        .as_mut()
+        .map(|c| c.call("POST", "/v1/predict", &[], body.as_bytes()));
+    let Some(Ok(resp)) = sent else {
+        *conn = None;
+        return (false, false, String::new());
+    };
+    if resp.close {
+        *conn = None;
     }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    if status == 0 {
-        return (0, false, String::new());
-    }
-    let mut content_length = 0usize;
-    let mut cache_hit = false;
-    let mut worker = String::new();
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return (0, false, String::new()),
-            Ok(_) => {}
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let lower = line.to_ascii_lowercase();
-        if let Some(v) = lower.strip_prefix("content-length:").map(str::trim) {
-            content_length = v.parse().expect("content-length");
-        }
-        if lower
-            .strip_prefix("x-cache:")
-            .is_some_and(|v| v.trim() == "hit")
-        {
-            cache_hit = true;
-        }
-        if let Some(v) = lower.strip_prefix("x-fleet-worker:").map(str::trim) {
-            worker = v.to_string();
-        }
-    }
-    let mut sink = vec![0u8; content_length];
-    if reader.read_exact(&mut sink).is_err() {
-        return (0, false, String::new());
-    }
-    (status, cache_hit, worker)
+    let worker = resp.header("x-fleet-worker").unwrap_or_default();
+    (
+        resp.status == 200,
+        resp.header("x-cache") == Some("hit"),
+        worker.to_string(),
+    )
 }
 
 /// A predict body whose guidance values are a pure function of `nonce`, so
@@ -364,22 +272,13 @@ fn fleet_pass(
         let handles: Vec<_> = (0..conns)
             .map(|c| {
                 s.spawn(move || {
-                    let connect = || {
-                        let stream = TcpStream::connect(addr).expect("connect front");
-                        stream.set_nodelay(true).expect("nodelay");
-                        let reader = BufReader::new(stream.try_clone().expect("clone"));
-                        (stream, reader)
-                    };
-                    let (mut stream, mut reader) = connect();
+                    let (addr, mut conn) = (addr.to_string(), None);
                     let mut out = Vec::with_capacity(requests as usize);
                     for r in 0..requests {
                         let body = make_body(c, r);
                         let t = Instant::now();
-                        let (status, hit, worker) = predict_once(&mut stream, &mut reader, &body);
-                        if status == 0 {
-                            (stream, reader) = connect();
-                        }
-                        out.push((t.elapsed().as_secs_f64() * 1e3, status == 200, hit, worker));
+                        let (ok, hit, worker) = predict_once(&mut conn, &addr, &body);
+                        out.push((t.elapsed().as_secs_f64() * 1e3, ok, hit, worker));
                     }
                     out
                 })
@@ -698,24 +597,15 @@ fn swap_phase(conns: u64, requests: u64, cache_mb: u64) -> SwapPhaseRow {
         .map(|c| {
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                let connect = || {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    stream.set_nodelay(true).expect("nodelay");
-                    let reader = BufReader::new(stream.try_clone().expect("clone"));
-                    (stream, reader)
-                };
-                let (mut stream, mut reader) = connect();
+                let (addr, mut conn) = (addr.to_string(), None);
                 let mut out = Vec::with_capacity(requests as usize);
                 for r in 0..requests {
                     let body = guidance_body(guidance_len, 1 + c * requests + r);
                     let started_s = t0.elapsed().as_secs_f64();
                     let t = Instant::now();
-                    let (status, _, _) = predict_once(&mut stream, &mut reader, &body);
-                    if status == 0 {
-                        (stream, reader) = connect();
-                    }
+                    let (ok, _, _) = predict_once(&mut conn, &addr, &body);
                     done.fetch_add(1, Ordering::Relaxed);
-                    out.push((started_s, t.elapsed().as_secs_f64() * 1e3, status == 200));
+                    out.push((started_s, t.elapsed().as_secs_f64() * 1e3, ok));
                 }
                 out
             })
@@ -729,14 +619,22 @@ fn swap_phase(conns: u64, requests: u64, cache_mb: u64) -> SwapPhaseRow {
         std::thread::sleep(Duration::from_millis(2));
     }
     let t_swap = Instant::now();
-    let (status, resp) = http_once(
-        addr,
+    let promote = format!("{{\"hash\":\"{h_new}\"}}");
+    let resp = http::request(
+        &addr.to_string(),
         "POST",
         "/v1/models/promote",
-        &format!("{{\"hash\":\"{h_new}\"}}"),
-    );
+        &[],
+        promote.as_bytes(),
+    )
+    .expect("promote request");
     let swap_ms = t_swap.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(status, 200, "promote under load failed: {resp}");
+    assert_eq!(
+        resp.status,
+        200,
+        "promote under load failed: {}",
+        resp.text()
+    );
     let cut_s = t0.elapsed().as_secs_f64();
 
     let samples: Vec<(f64, f64, bool)> = clients
@@ -746,11 +644,14 @@ fn swap_phase(conns: u64, requests: u64, cache_mb: u64) -> SwapPhaseRow {
 
     // The promote handler swaps synchronously, so by the time the load
     // drained the server must be resident on the candidate.
-    let (status, models) = http_once(addr, "GET", "/v1/models", "");
-    assert_eq!(status, 200, "GET /v1/models failed: {models}");
-    assert!(
-        models.contains(&format!("\"resident\":\"{h_new}\"")),
-        "server did not swap to the promoted model: {models}"
+    let models =
+        http::request(&addr.to_string(), "GET", "/v1/models", &[], b"").expect("GET /v1/models");
+    let resident = models.json::<ModelsResponse>().map(|m| m.resident);
+    assert_eq!(
+        resident.as_deref(),
+        Ok(h_new.as_str()),
+        "server did not swap to the promoted model: {}",
+        models.text()
     );
 
     server.shutdown();
@@ -1006,27 +907,12 @@ fn main() {
         .map(|_| {
             let body = body.clone();
             std::thread::spawn(move || {
-                let connect = || {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    // Requests are tiny; without nodelay, Nagle + delayed
-                    // ACK put a ~40 ms floor under every keep-alive round
-                    // trip and the latency numbers measure the kernel, not
-                    // the server.
-                    stream.set_nodelay(true).expect("nodelay");
-                    let reader = BufReader::new(stream.try_clone().expect("clone"));
-                    (stream, reader)
-                };
-                let (mut stream, mut reader) = connect();
+                let (addr, mut conn) = (addr.to_string(), None);
                 let mut samples = Vec::with_capacity(requests as usize);
                 for _ in 0..requests {
                     let t = Instant::now();
-                    let (status, hit, _) = predict_once(&mut stream, &mut reader, &body);
-                    if status == 0 {
-                        // Dropped connection (e.g. a collector restart under
-                        // injected faults): reconnect and count the error.
-                        (stream, reader) = connect();
-                    }
-                    samples.push((t.elapsed().as_secs_f64() * 1e3, status == 200, hit));
+                    let (ok, hit, _) = predict_once(&mut conn, &addr, &body);
+                    samples.push((t.elapsed().as_secs_f64() * 1e3, ok, hit));
                 }
                 samples
             })

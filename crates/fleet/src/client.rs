@@ -1,19 +1,17 @@
-//! HTTP/1.1 client side of the fleet: response parsing, keep-alive
-//! connections, JSON call helpers, and the worker's background
-//! registration/heartbeat agent.
+//! Fleet calls over af-serve's HTTP client: one-shot JSON helpers, and
+//! the worker's background registration/heartbeat agent.
 //!
-//! af-serve's `http` module only parses *requests* (it is a server); this
-//! module adds the mirror-image response parser over the same std-only
-//! `BufRead` discipline, with the same hard limits.
+//! The client itself — [`HttpConn`](af_serve::http::HttpConn),
+//! [`RawResponse`] and the response reader — lives in
+//! [`af_serve::http`] next to the request parser it shares its header
+//! reader and limits with.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use af_serve::http::{MAX_BODY, MAX_HEADERS, MAX_HEADER_LINE};
+use af_serve::http::{self, RawResponse};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -22,210 +20,6 @@ use crate::protocol::{
     WorkerCaps, PROTOCOL_VERSION,
 };
 use crate::FleetError;
-
-/// Default I/O timeout on fleet-internal calls.
-pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// A parsed HTTP response.
-#[derive(Debug, Clone)]
-pub struct RawResponse {
-    /// Status code.
-    pub status: u16,
-    /// Headers as (lower-cased name, trimmed value) pairs.
-    pub headers: Vec<(String, String)>,
-    /// Body bytes (exactly `Content-Length`; empty without one).
-    pub body: Vec<u8>,
-    /// Whether the server asked to close the connection.
-    pub close: bool,
-}
-
-impl RawResponse {
-    /// First value of header `name` (lower-case), if present.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Deserializes the JSON body.
-    ///
-    /// # Errors
-    ///
-    /// Non-UTF-8 or non-JSON bodies.
-    pub fn json<T: DeserializeOwned>(&self) -> Result<T, FleetError> {
-        let text = std::str::from_utf8(&self.body)
-            .map_err(|_| FleetError::Protocol("response body is not utf-8".to_string()))?;
-        serde_json::from_str(text)
-            .map_err(|e| FleetError::Protocol(format!("invalid json response: {e}")))
-    }
-}
-
-fn read_line(reader: &mut impl BufRead, what: &str) -> std::io::Result<String> {
-    let mut buf = Vec::with_capacity(128);
-    loop {
-        let mut byte = [0u8; 1];
-        let n = reader.read(&mut byte)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!("eof in {what}"),
-            ));
-        }
-        if byte[0] == b'\n' {
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            return String::from_utf8(buf).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("non-utf8 {what}"))
-            });
-        }
-        if buf.len() >= MAX_HEADER_LINE {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{what} too long"),
-            ));
-        }
-        buf.push(byte[0]);
-    }
-}
-
-/// Parses one HTTP/1.1 response from `reader` (status line, headers,
-/// `Content-Length`-framed body). Chunked transfer encoding is not
-/// supported — no server in this workspace emits it.
-///
-/// # Errors
-///
-/// Transport failures, malformed framing, and over-limit messages, all as
-/// `io::Error` (a client treats every parse failure as a dead connection).
-pub fn read_response(reader: &mut impl BufRead) -> std::io::Result<RawResponse> {
-    let status_line = read_line(reader, "status line")?;
-    let mut parts = status_line.split(' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad http version {version:?}"),
-        ));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .filter(|s| (100..=599).contains(s))
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status code"))?;
-
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    let mut close = false;
-    loop {
-        let line = read_line(reader, "header line")?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "too many headers",
-            ));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("header without colon: {line:?}"),
-            ));
-        };
-        let name = name.to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value.parse().map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-            })?;
-        }
-        if name == "connection" && value.eq_ignore_ascii_case("close") {
-            close = true;
-        }
-        headers.push((name, value));
-    }
-    if content_length > MAX_BODY {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "response body too large",
-        ));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(RawResponse {
-        status,
-        headers,
-        body,
-        close,
-    })
-}
-
-/// A keep-alive HTTP/1.1 client connection.
-pub struct HttpConn {
-    addr: String,
-    reader: BufReader<TcpStream>,
-}
-
-impl HttpConn {
-    /// Connects to `addr` (`host:port`) with [`IO_TIMEOUT`] on reads and
-    /// writes, TCP_NODELAY on (small JSON round trips must not wait out
-    /// Nagle + delayed ACK).
-    ///
-    /// # Errors
-    ///
-    /// Connection failures.
-    pub fn connect(addr: &str) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        Ok(Self {
-            addr: addr.to_string(),
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// The peer address this connection was opened to.
-    #[must_use]
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Sends one request and reads the response. `extra_headers` are
-    /// appended verbatim; `content-length` and `host` are always set.
-    ///
-    /// # Errors
-    ///
-    /// Transport or framing failures — the connection should be dropped.
-    pub fn call(
-        &mut self,
-        method: &str,
-        path: &str,
-        extra_headers: &[(String, String)],
-        body: &[u8],
-    ) -> std::io::Result<RawResponse> {
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n",
-            self.addr,
-            body.len()
-        );
-        for (name, value) in extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        let stream = self.reader.get_mut();
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
-        stream.flush()?;
-        read_response(&mut self.reader)
-    }
-}
 
 /// One-shot JSON POST on a fresh connection.
 ///
@@ -239,15 +33,7 @@ pub fn post_json<Req: Serialize, Resp: DeserializeOwned>(
 ) -> Result<Resp, FleetError> {
     let body = serde_json::to_string(req)
         .map_err(|e| FleetError::Protocol(format!("encode {path}: {e}")))?;
-    let mut conn = HttpConn::connect(addr)?;
-    let resp = conn.call("POST", path, &[], body.as_bytes())?;
-    if !(200..300).contains(&resp.status) {
-        return Err(FleetError::Status(
-            resp.status,
-            String::from_utf8_lossy(&resp.body).into_owned(),
-        ));
-    }
-    resp.json()
+    decode(http::request(addr, "POST", path, &[], body.as_bytes())?)
 }
 
 /// One-shot JSON GET on a fresh connection.
@@ -256,15 +42,14 @@ pub fn post_json<Req: Serialize, Resp: DeserializeOwned>(
 ///
 /// Transport failures, non-2xx statuses, and undecodable bodies.
 pub fn get_json<Resp: DeserializeOwned>(addr: &str, path: &str) -> Result<Resp, FleetError> {
-    let mut conn = HttpConn::connect(addr)?;
-    let resp = conn.call("GET", path, &[], b"")?;
+    decode(http::request(addr, "GET", path, &[], b"")?)
+}
+
+fn decode<Resp: DeserializeOwned>(resp: RawResponse) -> Result<Resp, FleetError> {
     if !(200..300).contains(&resp.status) {
-        return Err(FleetError::Status(
-            resp.status,
-            String::from_utf8_lossy(&resp.body).into_owned(),
-        ));
+        return Err(FleetError::Status(resp.status, resp.text().into_owned()));
     }
-    resp.json()
+    resp.json().map_err(FleetError::Protocol)
 }
 
 /// What the [`WorkerAgent`] announces about its worker.
@@ -513,69 +298,5 @@ fn agent_loop(
                 af_obs::counter("fleet.agent.heartbeat_failures", 1);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(raw: &[u8]) -> std::io::Result<RawResponse> {
-        read_response(&mut BufReader::new(raw))
-    }
-
-    #[test]
-    fn parses_response_with_headers_and_body() {
-        let resp = parse(
-            b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\nx-cache: hit\r\ncontent-length: 11\r\n\r\n{\"ok\":true}",
-        )
-        .unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("x-cache"), Some("hit"));
-        assert_eq!(resp.body, b"{\"ok\":true}");
-        assert!(!resp.close);
-        #[derive(serde::Deserialize)]
-        struct Ok_ {
-            ok: bool,
-        }
-        assert!(resp.json::<Ok_>().unwrap().ok);
-    }
-
-    #[test]
-    fn detects_connection_close_and_empty_body() {
-        let resp = parse(b"HTTP/1.1 503 Service Unavailable\r\nconnection: close\r\n\r\n").unwrap();
-        assert_eq!(resp.status, 503);
-        assert!(resp.close);
-        assert!(resp.body.is_empty());
-    }
-
-    #[test]
-    fn rejects_malformed_responses() {
-        for raw in [
-            b"".as_slice(),
-            b"NOTHTTP 200 OK\r\n\r\n",
-            b"HTTP/1.1 notanumber OK\r\n\r\n",
-            b"HTTP/1.1 999999 ???\r\n\r\n",
-            b"HTTP/1.1 200 OK\r\nnocolon\r\n\r\n",
-            b"HTTP/1.1 200 OK\r\ncontent-length: nan\r\n\r\n",
-            b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nshort",
-        ] {
-            assert!(parse(raw).is_err(), "{:?}", String::from_utf8_lossy(raw));
-        }
-    }
-
-    #[test]
-    fn roundtrips_serve_response_writer() {
-        // The serve Response writer and this parser are the two halves of
-        // the fleet's internal hop; pin their compatibility.
-        let mut wire = Vec::new();
-        af_serve::http::Response::json(202, "{\"id\":7}".to_string())
-            .with_header("x-fleet-worker", "w1".to_string())
-            .write_to(&mut wire)
-            .unwrap();
-        let resp = parse(&wire).unwrap();
-        assert_eq!(resp.status, 202);
-        assert_eq!(resp.header("x-fleet-worker"), Some("w1"));
-        assert_eq!(resp.body, b"{\"id\":7}");
     }
 }

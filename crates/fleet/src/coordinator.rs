@@ -1,6 +1,6 @@
 //! The coordinator process: worker registry, gen-job lease desk, and
-//! fleet-wide metrics aggregation, served over the same std-only HTTP
-//! stack as af-serve.
+//! fleet-wide metrics aggregation, served on af-serve's HTTP listener and
+//! keep-alive loop.
 //!
 //! The coordinator is deliberately boring: all fleet state fits in two
 //! mutexes (registry, lease table), every decision is a pure function of
@@ -10,14 +10,12 @@
 //! thread-per-connection: coordinator load is a handful of workers and
 //! fronts heartbeating, not the serving hot path.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use af_serve::http::{read_request, ParseError, Request, Response};
+use af_serve::http::{json_or_500, Listener, Request, Response, Shutdown};
 use analogfold::{shard_count, shard_is_complete, SampleRecord, ShardStore};
 
 use crate::gen::{spec_config, spec_design};
@@ -58,8 +56,7 @@ struct GenJob {
 struct Shared {
     registry: Mutex<Registry>,
     gen: Option<GenJob>,
-    shutting_down: AtomicBool,
-    addr: SocketAddr,
+    shutdown: Shutdown,
     started: Instant,
 }
 
@@ -69,6 +66,7 @@ pub struct Coordinator;
 /// A running coordinator.
 pub struct CoordinatorHandle {
     shared: Arc<Shared>,
+    addr: SocketAddr,
     accept: Option<thread::JoinHandle<()>>,
 }
 
@@ -81,8 +79,7 @@ impl Coordinator {
     ///
     /// Bind failures and an invalid gen spec (unknown bench/variant).
     pub fn bind(cfg: CoordinatorConfig) -> Result<CoordinatorHandle, FleetError> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(&cfg.addr)?;
         let gen = match &cfg.gen {
             Some(spec) => Some(GenJob {
                 spec: spec.clone(),
@@ -93,35 +90,20 @@ impl Coordinator {
         let shared = Arc::new(Shared {
             registry: Mutex::new(Registry::new(cfg.lease_ms)),
             gen,
-            shutting_down: AtomicBool::new(false),
-            addr,
+            shutdown: listener.shutdown(),
             started: Instant::now(),
         });
 
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("fleet-coord-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let _ = stream.set_nodelay(true);
-                        let shared = Arc::clone(&shared);
-                        // Thread-per-connection: peers are workers and
-                        // fronts on keep-alive, a bounded population.
-                        let _ = thread::Builder::new()
-                            .name("fleet-coord-conn".to_string())
-                            .spawn(move || handle_connection(&shared, stream));
-                    }
-                })
-                .expect("spawn coordinator accept")
-        };
+        let addr = listener.addr();
+        let conn_shared = Arc::clone(&shared);
+        let accept = listener.spawn_threaded("fleet-coord", "fleet.coord", move || {
+            let shared = Arc::clone(&conn_shared);
+            move |req: &Request| dispatch(&shared, req)
+        });
 
         Ok(CoordinatorHandle {
             shared,
+            addr,
             accept: Some(accept),
         })
     }
@@ -159,7 +141,7 @@ impl CoordinatorHandle {
     /// The bound address (resolves ephemeral ports).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.addr
     }
 
     /// Whether the configured gen job has every shard complete
@@ -188,16 +170,12 @@ impl CoordinatorHandle {
 
     /// Initiates shutdown without waiting.
     pub fn shutdown(&self) {
-        if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.shared.addr);
+        self.shared.shutdown.trigger();
     }
 
     /// Blocks until the coordinator shuts down — via [`shutdown`] or a
     /// `POST /fleet/shutdown` — and joins the accept thread (open
-    /// keep-alive connections finish their in-flight request and close on
-    /// the next read).
+    /// keep-alive connections close after their next response).
     ///
     /// [`shutdown`]: CoordinatorHandle::shutdown
     pub fn join(mut self) {
@@ -207,54 +185,11 @@ impl CoordinatorHandle {
     }
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut out = stream;
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return,
-            Err(ParseError::Bad(msg)) => {
-                let _ = Response::error(400, &msg).with_close().write_to(&mut out);
-                return;
-            }
-            Err(ParseError::TooLarge(msg)) => {
-                let _ = Response::error(413, &msg).with_close().write_to(&mut out);
-                return;
-            }
-            Err(ParseError::Io(_)) => return,
-        };
-        let close = req.wants_close();
-        let mut resp = dispatch(shared, &req);
-        if close {
-            resp = resp.with_close();
-        }
-        if resp.write_to(&mut out).is_err() || resp.close {
-            return;
-        }
-    }
-}
-
-fn json_or_500<T: serde::Serialize>(status: u16, value: &T) -> Response {
-    match serde_json::to_string(value) {
-        Ok(body) => Response::json(status, body),
-        Err(e) => Response::error(500, &format!("serialization failed: {e}")),
-    }
-}
-
 fn parse<T: serde::de::DeserializeOwned>(body: &[u8]) -> Result<T, Response> {
     af_serve::api::parse_body(body).map_err(|e| Response::error(400, &e))
 }
 
 fn dispatch(shared: &Shared, req: &Request) -> Response {
-    af_obs::counter("fleet.coord.requests", 1);
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/fleet/register") => register(shared, &req.body),
         ("POST", "/fleet/heartbeat") => heartbeat(shared, &req.body),
@@ -266,8 +201,7 @@ fn dispatch(shared: &Shared, req: &Request) -> Response {
         ("GET", "/healthz") => status(shared),
         ("GET", "/metrics") => Response::text(200, &af_serve::metrics::render_metrics()),
         ("POST", "/fleet/shutdown") => {
-            shared.shutting_down.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(shared.addr);
+            shared.shutdown.trigger();
             Response::json(200, "{\"ok\":true}".to_string()).with_close()
         }
         (

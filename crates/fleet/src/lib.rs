@@ -1,6 +1,7 @@
 //! af-fleet: coordinator/worker multi-process serving and distributed
-//! dataset generation, built entirely on the workspace's std-only HTTP
-//! stack (no async runtime, no RPC framework, no new dependencies).
+//! dataset generation, built entirely on the workspace's one std-only HTTP
+//! module, [`af_serve::http`] (no async runtime, no RPC framework, no new
+//! dependencies).
 //!
 //! # Roles
 //!
@@ -42,9 +43,9 @@ pub mod protocol;
 pub mod proxy;
 pub mod registry;
 
+pub use af_serve::http::{HttpConn, RawResponse};
 pub use client::{
-    get_json, post_json, HttpConn, ModelHooks, PromoteFn, RawResponse, ResidentHashFn, WorkerAgent,
-    WorkerIdentity,
+    get_json, post_json, ModelHooks, PromoteFn, ResidentHashFn, WorkerAgent, WorkerIdentity,
 };
 pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use gen::{run_gen_worker, spec_config, spec_design, GenSummary};

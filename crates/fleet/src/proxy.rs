@@ -23,6 +23,12 @@
 //!   flight past the hedge delay, under a token-bucket budget. The winner
 //!   is stamped `x-hedged` when the duplicate answered first.
 //!
+//! Upstream reads are bounded by the client's remaining budget when it sent
+//! one; running out of it answers `408` at the front. A pooled keep-alive
+//! connection the worker had already closed is redialled once, but a
+//! request that may have reached the worker is never resent on the same
+//! worker.
+//!
 //! Failures take one extra hop: if the first-ranked worker is unreachable
 //! or answers 503, the front retries the second-ranked replica. Worker
 //! backpressure (`429`, and a final `503`) is relayed verbatim — including
@@ -32,9 +38,8 @@
 //! worker-local.
 
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -44,10 +49,13 @@ use af_guard::{
     BreakerConfig, BreakerSet, BreakerStatus, Deadline, HedgeConfig, HedgeStats, Hedger,
     DEADLINE_HEADER, HEDGED_HEADER,
 };
-use af_serve::http::{read_request, ParseError, Request, Response};
+use af_serve::http::{
+    is_timeout, json_or_500, HttpConn, Listener, RawResponse, Request, Response, Shutdown,
+    IO_TIMEOUT,
+};
 use serde::{Serialize, Value};
 
-use crate::client::{get_json, HttpConn, RawResponse};
+use crate::client::get_json;
 use crate::protocol::WorkersResponse;
 use crate::FleetError;
 
@@ -101,8 +109,7 @@ struct FrontShared {
     /// Front-global job id → (worker id, worker-local job id).
     jobs: Mutex<HashMap<u64, (String, u64)>>,
     next_job: AtomicU64,
-    shutting_down: AtomicBool,
-    addr: SocketAddr,
+    shutdown: Shutdown,
     started: Instant,
     breakers: BreakerSet,
     hedger: Hedger,
@@ -115,6 +122,7 @@ pub struct Front;
 /// A running front.
 pub struct FrontHandle {
     shared: Arc<FrontShared>,
+    addr: SocketAddr,
     accept: Option<thread::JoinHandle<()>>,
     refresher: Option<thread::JoinHandle<()>>,
 }
@@ -129,8 +137,7 @@ impl Front {
     ///
     /// Bind failures.
     pub fn bind(cfg: FrontConfig) -> Result<FrontHandle, FleetError> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(&cfg.addr)?;
         let breakers = if cfg.breaker_enabled {
             BreakerSet::new(cfg.breaker.clone())
         } else {
@@ -141,8 +148,7 @@ impl Front {
             ring: RwLock::new(RingState::default()),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
-            shutting_down: AtomicBool::new(false),
-            addr,
+            shutdown: listener.shutdown(),
             started: Instant::now(),
             breakers,
             hedger: Hedger::new(cfg.hedge.clone()),
@@ -156,34 +162,26 @@ impl Front {
             thread::Builder::new()
                 .name("fleet-front-refresh".to_string())
                 .spawn(move || {
-                    while !shared.shutting_down.load(Ordering::SeqCst) {
+                    while !shared.shutdown.is_triggered() {
                         thread::sleep(interval);
                         refresh_ring(&shared);
                     }
                 })
                 .expect("spawn front refresher")
         };
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("fleet-front-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let _ = stream.set_nodelay(true);
-                        let shared = Arc::clone(&shared);
-                        let _ = thread::Builder::new()
-                            .name("fleet-front-conn".to_string())
-                            .spawn(move || handle_connection(&shared, stream));
-                    }
-                })
-                .expect("spawn front accept")
-        };
+        let addr = listener.addr();
+        let conn_shared = Arc::clone(&shared);
+        let accept = listener.spawn_threaded("fleet-front", "fleet.front", move || {
+            let shared = Arc::clone(&conn_shared);
+            // Per-connection pool of keep-alive upstream connections, keyed
+            // by worker address. Thread-per-connection makes this
+            // contention-free.
+            let mut pool = HashMap::new();
+            move |req: &Request| dispatch(&shared, req, &mut pool)
+        });
         Ok(FrontHandle {
             shared,
+            addr,
             accept: Some(accept),
             refresher: Some(refresher),
         })
@@ -194,7 +192,7 @@ impl FrontHandle {
     /// The bound address (resolves ephemeral ports).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.addr
     }
 
     /// Live serve-capable workers in the current ring view.
@@ -222,10 +220,7 @@ impl FrontHandle {
 
     /// Initiates shutdown without waiting.
     pub fn shutdown(&self) {
-        if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.shared.addr);
+        self.shared.shutdown.trigger();
     }
 
     /// Blocks until the front shuts down — via [`shutdown`] or a
@@ -272,44 +267,6 @@ fn refresh_ring(shared: &FrontShared) {
         .unwrap_or_else(std::sync::PoisonError::into_inner) = next;
 }
 
-fn handle_connection(shared: &FrontShared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut out = stream;
-    // Per-connection pool of keep-alive upstream connections, keyed by
-    // worker address. Thread-per-connection makes this contention-free.
-    let mut pool: HashMap<String, HttpConn> = HashMap::new();
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return,
-            Err(ParseError::Bad(msg)) => {
-                let _ = Response::error(400, &msg).with_close().write_to(&mut out);
-                return;
-            }
-            Err(ParseError::TooLarge(msg)) => {
-                let _ = Response::error(413, &msg).with_close().write_to(&mut out);
-                return;
-            }
-            Err(ParseError::Io(_)) => return,
-        };
-        let close = req.wants_close();
-        let mut resp = dispatch(shared, &req, &mut pool);
-        if close {
-            resp = resp.with_close();
-        }
-        if resp.write_to(&mut out).is_err() || resp.close {
-            return;
-        }
-    }
-}
-
 /// One worker's breaker as reported by `GET /healthz`.
 #[derive(Debug, Clone, Serialize)]
 struct BreakerHealth {
@@ -331,7 +288,6 @@ struct FrontHealth {
 }
 
 fn dispatch(shared: &FrontShared, req: &Request, pool: &mut HashMap<String, HttpConn>) -> Response {
-    af_obs::counter("fleet.front.requests", 1);
     // The deadline gate runs before routing: a malformed budget is the
     // client's bug (400), an expired one is shed here without dialing any
     // worker (408) — that is the whole point of propagating deadlines.
@@ -379,21 +335,13 @@ fn dispatch(shared: &FrontShared, req: &Request, pool: &mut HashMap<String, Http
         }
         ("GET", "/metrics") => Response::text(200, &af_serve::metrics::render_metrics()),
         ("POST", "/v1/shutdown") => {
-            shared.shutting_down.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(shared.addr);
+            shared.shutdown.trigger();
             Response::json(200, "{\"ok\":true}".to_string()).with_close()
         }
         ("POST", "/v1/route") => submit_job(shared, req, pool, deadline),
         ("GET", path) if path.starts_with("/v1/jobs/") => job_status(shared, path, pool, deadline),
         ("POST", path) if path.starts_with("/v1/") => forward_hashed(shared, req, pool, deadline),
         _ => Response::error(404, "no such endpoint"),
-    }
-}
-
-fn json_or_500<T: Serialize>(status: u16, value: &T) -> Response {
-    match serde_json::to_string(value) {
-        Ok(body) => Response::json(status, body),
-        Err(e) => Response::error(500, &format!("serialization failed: {e}")),
     }
 }
 
@@ -415,6 +363,16 @@ fn candidates(shared: &FrontShared, key: &[u8]) -> Vec<(String, String)> {
                 .map(|addr| (id.to_string(), addr.clone()))
         })
         .collect()
+}
+
+/// The primary and failover workers for `req`, ranked by its `(path,
+/// body)` bytes, or a 503 when the ring is empty.
+fn targets(shared: &FrontShared, req: &Request) -> Result<Vec<(String, String)>, Response> {
+    let ranked = candidates(shared, &[req.path.as_bytes(), &[0], &req.body].concat());
+    if ranked.is_empty() {
+        return Err(Response::error(503, "no live workers in the fleet"));
+    }
+    Ok(routable(shared, ranked))
 }
 
 /// Filters a ranking through the per-worker breakers and keeps the primary
@@ -441,41 +399,54 @@ fn routable(shared: &FrontShared, ranked: Vec<(String, String)>) -> Vec<(String,
     allowed.into_iter().take(2).collect()
 }
 
-/// The upstream headers for one forwarding attempt: the *remaining* budget
-/// at this instant, so a worker always sees a strictly smaller deadline
-/// than the front did (monotone shrink across hops).
-fn forward_headers(deadline: Option<&Deadline>) -> Vec<(String, String)> {
-    deadline
-        .map(|d| vec![(DEADLINE_HEADER.to_string(), d.header_value())])
-        .unwrap_or_default()
+/// The upstream headers and read timeout of one exchange, computed at
+/// this instant from the client's *remaining* budget: a worker always sees
+/// a strictly smaller deadline than the front did (monotone shrink across
+/// hops), and the front waits for the worker no longer than the client
+/// waits for the front.
+fn budget(deadline: Option<&Deadline>) -> (Vec<(String, String)>, Duration) {
+    match deadline {
+        Some(d) => (
+            vec![(DEADLINE_HEADER.to_string(), d.header_value())],
+            d.remaining().max(Duration::from_millis(1)),
+        ),
+        None => (Vec::new(), IO_TIMEOUT),
+    }
 }
 
-/// One exchange on a possibly pooled connection. A pooled connection that
-/// fails is retried once on a fresh one — distinguishing "idle connection
-/// died" (normal) from "worker is down" (the caller's replica logic handles
-/// that). Returns the connection when it is still reusable.
+/// One exchange on a possibly pooled connection. A pooled connection the
+/// worker had already closed — `NotConnected`, see [`HttpConn::call`] — is
+/// redialled once. Any other failure, a timeout above all, may come after
+/// the worker received the request and is returned as is: the caller's
+/// replica logic handles it. Returns the connection when it is still
+/// reusable.
 fn call_once(
     conn: Option<HttpConn>,
     addr: &str,
-    method: &str,
-    path: &str,
-    extra: &[(String, String)],
-    body: &[u8],
+    req: &Request,
+    deadline: Option<Deadline>,
 ) -> (std::io::Result<RawResponse>, Option<HttpConn>) {
-    if let Some(mut c) = conn {
-        if let Ok(resp) = c.call(method, path, extra, body) {
-            let keep = !resp.close;
-            return (Ok(resp), keep.then_some(c));
-        }
-    }
-    match HttpConn::connect(addr) {
-        Ok(mut c) => match c.call(method, path, extra, body) {
+    let exchange = |mut c: HttpConn| {
+        let (extra, timeout) = budget(deadline.as_ref());
+        match c
+            .set_read_timeout(timeout)
+            .and_then(|()| c.call(&req.method, &req.path, &extra, &req.body))
+        {
             Ok(resp) => {
                 let keep = !resp.close;
                 (Ok(resp), keep.then_some(c))
             }
             Err(e) => (Err(e), None),
-        },
+        }
+    };
+    if let Some(c) = conn {
+        match exchange(c) {
+            (Err(e), _) if e.kind() == std::io::ErrorKind::NotConnected => {}
+            done => return done,
+        }
+    }
+    match HttpConn::connect(addr) {
+        Ok(c) => exchange(c),
         Err(e) => (Err(e), None),
     }
 }
@@ -486,20 +457,26 @@ fn send_to(
     pool: &mut HashMap<String, HttpConn>,
     addr: &str,
     req: &Request,
-    extra: &[(String, String)],
+    deadline: Option<Deadline>,
 ) -> std::io::Result<RawResponse> {
-    let (result, conn) = call_once(
-        pool.remove(addr),
-        addr,
-        &req.method,
-        &req.path,
-        extra,
-        &req.body,
-    );
+    let (result, conn) = call_once(pool.remove(addr), addr, req, deadline);
     if let Some(c) = conn {
         pool.insert(addr.to_string(), c);
     }
     result
+}
+
+/// Whether an upstream failure is the client's own budget running out:
+/// with a deadline, the read timeout *is* the remaining budget.
+fn out_of_budget(deadline: Option<Deadline>, e: &std::io::Error) -> bool {
+    deadline.is_some() && is_timeout(e)
+}
+
+/// `408` for a request whose budget ran out at the front, counted as
+/// `guard.deadline_expired.front` and never held against a worker.
+fn expired_at_front() -> Response {
+    af_guard::shed("front");
+    Response::error(408, "request deadline expired at the front")
 }
 
 /// One leg of a hedged exchange: leg index, exchange result, the reusable
@@ -525,19 +502,16 @@ fn hedged_send(
     pool: &mut HashMap<String, HttpConn>,
     primary: &(String, String),
     secondary: &(String, String),
-    extra: &[(String, String)],
+    deadline: Option<Deadline>,
 ) -> (String, std::io::Result<RawResponse>, bool) {
     let (tx, rx) = mpsc::channel::<LegOutcome>();
     let spawn_leg =
         |idx: usize, addr: String, conn: Option<HttpConn>, tx: mpsc::Sender<LegOutcome>| {
-            let method = req.method.clone();
-            let path = req.path.clone();
-            let body = req.body.clone();
-            let extra = extra.to_vec();
+            let req = req.clone();
             let _ = thread::Builder::new()
                 .name("fleet-front-hedge".to_string())
                 .spawn(move || {
-                    let (result, conn) = call_once(conn, &addr, &method, &path, &extra, &body);
+                    let (result, conn) = call_once(conn, &addr, &req, deadline);
                     let _ = tx.send((idx, result, conn, addr));
                 });
         };
@@ -600,7 +574,7 @@ fn hedged_send(
 /// Converts an upstream response into a downstream one, relaying status,
 /// body, cache markers, and stamping which worker answered.
 fn relay(upstream: RawResponse, worker: &str) -> Response {
-    let body = String::from_utf8_lossy(&upstream.body).into_owned();
+    let body = upstream.text().into_owned();
     let text_type = upstream
         .header("content-type")
         .is_some_and(|t| t.starts_with("text/"));
@@ -632,27 +606,20 @@ fn forward_hashed(
     pool: &mut HashMap<String, HttpConn>,
     deadline: Option<Deadline>,
 ) -> Response {
-    let mut key = Vec::with_capacity(req.path.len() + 1 + req.body.len());
-    key.extend_from_slice(req.path.as_bytes());
-    key.push(0);
-    key.extend_from_slice(&req.body);
-    let ranked = candidates(shared, &key);
-    if ranked.is_empty() {
-        return Response::error(503, "no live workers in the fleet");
-    }
-    let targets = routable(shared, ranked);
+    let targets = match targets(shared, req) {
+        Ok(targets) => targets,
+        Err(resp) => return resp,
+    };
     let mut backpressure: Option<(RawResponse, String)> = None;
     for (i, (id, addr)) in targets.iter().enumerate() {
         if deadline.is_some_and(|d| d.expired()) {
-            af_guard::shed("front");
-            return Response::error(408, "request deadline expired at the front");
+            return expired_at_front();
         }
-        let extra = forward_headers(deadline.as_ref());
         let start = Instant::now();
         let (winner, result, hedged) = if i == 0 && shared.hedger.enabled() && targets.len() > 1 {
-            hedged_send(shared, req, pool, &targets[0], &targets[1], &extra)
+            hedged_send(shared, req, pool, &targets[0], &targets[1], deadline)
         } else {
-            (id.clone(), send_to(pool, addr, req, &extra), false)
+            (id.clone(), send_to(pool, addr, req, deadline), false)
         };
         let latency_ms = start.elapsed().as_secs_f64() * 1e3;
         match result {
@@ -680,6 +647,7 @@ fn forward_hashed(
                 }
                 return out;
             }
+            Err(e) if out_of_budget(deadline, &e) => return expired_at_front(),
             Err(_) => {
                 shared.breakers.record(&winner, false, latency_ms);
                 af_obs::counter("fleet.front.worker_errors", 1);
@@ -703,24 +671,17 @@ fn submit_job(
     pool: &mut HashMap<String, HttpConn>,
     deadline: Option<Deadline>,
 ) -> Response {
-    let mut key = Vec::with_capacity(req.path.len() + 1 + req.body.len());
-    key.extend_from_slice(req.path.as_bytes());
-    key.push(0);
-    key.extend_from_slice(&req.body);
-    let ranked = candidates(shared, &key);
-    if ranked.is_empty() {
-        return Response::error(503, "no live workers in the fleet");
-    }
-    let targets = routable(shared, ranked);
+    let targets = match targets(shared, req) {
+        Ok(targets) => targets,
+        Err(resp) => return resp,
+    };
     let mut backpressure: Option<(RawResponse, String)> = None;
     for (id, addr) in &targets {
         if deadline.is_some_and(|d| d.expired()) {
-            af_guard::shed("front");
-            return Response::error(408, "request deadline expired at the front");
+            return expired_at_front();
         }
-        let extra = forward_headers(deadline.as_ref());
         let start = Instant::now();
-        let result = send_to(pool, addr, req, &extra);
+        let result = send_to(pool, addr, req, deadline);
         let latency_ms = start.elapsed().as_secs_f64() * 1e3;
         match result {
             Ok(resp) if resp.status == 202 => {
@@ -745,6 +706,7 @@ fn submit_job(
                 shared.breakers.record(id, resp.status < 500, latency_ms);
                 return relay(resp, id);
             }
+            Err(e) if out_of_budget(deadline, &e) => return expired_at_front(),
             Err(_) => {
                 shared.breakers.record(id, false, latency_ms);
                 af_obs::counter("fleet.front.worker_errors", 1);
@@ -825,9 +787,9 @@ fn job_status(
         headers: Vec::new(),
         body: Vec::new(),
     };
-    let extra = forward_headers(deadline.as_ref());
-    match send_to(pool, &addr, &upstream, &extra) {
+    match send_to(pool, &addr, &upstream, deadline) {
         Ok(resp) => relay(resp, &worker),
+        Err(e) if out_of_budget(deadline, &e) => expired_at_front(),
         Err(_) => Response::error(502, &format!("worker {worker} unreachable")),
     }
 }
@@ -836,6 +798,7 @@ fn job_status(
 mod tests {
     use super::*;
     use af_guard::parse_header_ms;
+    use std::sync::atomic::AtomicUsize;
 
     fn shared_with(breakers: BreakerSet, hedger: Hedger) -> FrontShared {
         FrontShared {
@@ -843,8 +806,7 @@ mod tests {
             ring: RwLock::new(RingState::default()),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
-            shutting_down: AtomicBool::new(false),
-            addr: "127.0.0.1:0".parse().unwrap(),
+            shutdown: Listener::bind("127.0.0.1:0").unwrap().shutdown(),
             started: Instant::now(),
             breakers,
             hedger,
@@ -868,24 +830,12 @@ mod tests {
     /// A minimal keep-alive mock worker: answers every request through
     /// `behavior` until the test process exits.
     fn spawn_mock(behavior: impl Fn(&Request) -> Response + Send + Sync + 'static) -> String {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.addr().to_string();
         let behavior = Arc::new(behavior);
-        thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { continue };
-                let behavior = Arc::clone(&behavior);
-                thread::spawn(move || {
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut out = stream;
-                    while let Ok(Some(req)) = read_request(&mut reader) {
-                        let resp = behavior(&req);
-                        if resp.write_to(&mut out).is_err() || resp.close {
-                            break;
-                        }
-                    }
-                });
-            }
+        listener.spawn_threaded("mock", "mock", move || {
+            let behavior = Arc::clone(&behavior);
+            move |req: &Request| behavior(req)
         });
         addr
     }
@@ -1050,6 +1000,51 @@ mod tests {
     }
 
     #[test]
+    fn deadline_bounds_a_slow_worker_without_resending() {
+        let seen = Arc::new(AtomicUsize::new(0));
+        let addr = {
+            let seen = Arc::clone(&seen);
+            spawn_mock(move |_req| {
+                // The first request warms the pool; the second outlasts the
+                // client's budget.
+                if seen.fetch_add(1, Ordering::SeqCst) > 0 {
+                    thread::sleep(Duration::from_millis(700));
+                }
+                Response::json(200, "{}".to_string())
+            })
+        };
+        let shared = shared_for_test();
+        set_ring(&shared, &[("w1", addr.as_str())]);
+        let mut pool = HashMap::new();
+        let warm = forward_hashed(&shared, &post("/v1/predict", b"{}"), &mut pool, None);
+        assert_eq!(warm.status, 200);
+        assert!(
+            pool.contains_key(&addr),
+            "the exchange left a warm connection"
+        );
+
+        let start = Instant::now();
+        let resp = forward_hashed(
+            &shared,
+            &post("/v1/predict", b"{}"),
+            &mut pool,
+            Some(Deadline::after(200)),
+        );
+        let waited = start.elapsed();
+        assert_eq!(resp.status, 408, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(
+            waited < Duration::from_millis(500),
+            "answered {waited:?} after a 200 ms budget"
+        );
+        thread::sleep(Duration::from_millis(900));
+        assert_eq!(
+            seen.load(Ordering::SeqCst),
+            2,
+            "the slow request must reach the worker exactly once"
+        );
+    }
+
+    #[test]
     fn hedge_wins_against_slow_primary() {
         let slow = spawn_mock(|_req| {
             thread::sleep(Duration::from_millis(300));
@@ -1067,11 +1062,7 @@ mod tests {
         let mut body = Vec::new();
         for i in 0..64u32 {
             let candidate = format!("{{\"n\":{i}}}").into_bytes();
-            let mut key = Vec::new();
-            key.extend_from_slice(b"/v1/predict");
-            key.push(0);
-            key.extend_from_slice(&candidate);
-            if candidates(&shared, &key)[0].0 == "w1" {
+            if targets(&shared, &post("/v1/predict", &candidate)).unwrap()[0].0 == "w1" {
                 body = candidate;
                 break;
             }

@@ -2,7 +2,8 @@
 //!
 //! Request bodies use derived `Deserialize` (the vendored derive maps a
 //! missing named field to `Null`, which `Option<T>` reads as `None`, so
-//! optional knobs need no custom code). Responses use derived `Serialize`.
+//! optional knobs need no custom code). Responses derive `Serialize`; the
+//! ones clients read back (tests, loadgen) also derive `Deserialize`.
 
 use af_sim::Performance;
 use serde::{Deserialize, Serialize};
@@ -15,7 +16,7 @@ pub struct ErrorBody {
 }
 
 /// `GET /healthz` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HealthResponse {
     /// Always `true` when the server can answer at all.
     pub ok: bool,
@@ -55,7 +56,7 @@ pub struct PredictRequest {
 }
 
 /// `POST /v1/predict` response body.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PredictResponse {
     /// Predicted post-layout metrics for the supplied guidance.
     pub performance: Performance,
@@ -100,7 +101,7 @@ pub struct RouteRequest {
 }
 
 /// `POST /v1/route` response body (`202 Accepted`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RouteAccepted {
     /// Job id; poll `GET /v1/jobs/{id}`.
     pub id: u64,
@@ -109,7 +110,7 @@ pub struct RouteAccepted {
 }
 
 /// One registered model in a `GET /v1/models` listing.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelInfo {
     /// Canonical content hash (the registry id).
     pub hash: String,
@@ -130,7 +131,7 @@ pub struct ModelInfo {
 }
 
 /// Canary progress in a `GET /v1/models` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CanaryInfo {
     /// Candidate hash under shadow evaluation.
     pub candidate: String,
@@ -145,7 +146,7 @@ pub struct CanaryInfo {
 }
 
 /// `GET /v1/models` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelsResponse {
     /// Hash of the model answering requests right now.
     pub resident: String,
@@ -169,7 +170,7 @@ pub struct PromoteRequest {
 }
 
 /// `POST /v1/models/promote` response body.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PromoteResponse {
     /// Always `true` on 200.
     pub ok: bool,

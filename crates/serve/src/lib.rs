@@ -23,6 +23,10 @@
 //! deadline (`408`), connections are keep-alive with an idle timeout, and
 //! shutdown stops accepting, drains, and joins every thread.
 //!
+//! [`http`] is the workspace's one HTTP module: the request and response
+//! parsers, the response writer, the listener and keep-alive loop that the
+//! fleet front and coordinator run on too, and the client they call with.
+//!
 //! Zero dependencies beyond std and the workspace's vendored
 //! `serde`/`serde_json`, matching the offline build constraint.
 

@@ -1,5 +1,6 @@
-//! The server proper: accept loop, bounded connection queue, handler
-//! workers, request routing, and graceful shutdown.
+//! The serve worker: its bounded connection queue, handler workers,
+//! request routing, and graceful shutdown, on the shared
+//! [`crate::http`] listener and keep-alive loop.
 //!
 //! Thread layout:
 //!
@@ -10,14 +11,12 @@
 //! handler ──route────▶ job queue ────▶ M job workers (persist to store)
 //! ```
 //!
-//! Shutdown: set the flag, self-connect to unblock `accept`, close the
-//! connection queue (workers drain it, then exit), then close and drain
-//! the predict and job queues — every accepted job completes before
-//! [`ServerHandle::join`] returns.
+//! Shutdown: trigger the listener's [`Shutdown`], join the accept thread,
+//! close the connection queue (workers drain it, then exit), then close
+//! and drain the predict and job queues — every accepted job completes
+//! before [`ServerHandle::join`] returns.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -34,7 +33,7 @@ use crate::api::{
 };
 use crate::batch::{Batcher, SubmitError};
 use crate::config::ServeConfig;
-use crate::http::{read_request, ParseError, Request, Response};
+use crate::http::{json_or_500, Listener, Request, Response, Shutdown};
 use crate::jobs::{JobParams, JobRunner, JobStore};
 use crate::metrics::render_metrics;
 use crate::state::{CanaryCtl, ModelBundle, ModelSlot};
@@ -47,8 +46,7 @@ struct Shared {
     runner: Mutex<JobRunner>,
     store: Arc<JobStore>,
     cfg: ServeConfig,
-    shutting_down: AtomicBool,
-    addr: SocketAddr,
+    shutdown: Shutdown,
     /// Bind time; `/healthz` reports the monotonic distance from it.
     started: Instant,
     /// Response cache for `/v1/predict` and `/v1/guide`: whole 200-status
@@ -69,7 +67,9 @@ pub struct Server;
 /// [`join`](ServerHandle::join) aborts ungracefully (threads detach).
 pub struct ServerHandle {
     shared: Arc<Shared>,
+    addr: SocketAddr,
     accept: Option<thread::JoinHandle<()>>,
+    conns: Arc<BoundedQueue<TcpStream>>,
     workers: Vec<thread::JoinHandle<()>>,
     watcher: Option<thread::JoinHandle<()>>,
 }
@@ -82,8 +82,7 @@ impl Server {
     ///
     /// Bind failures and job-store recovery failures.
     pub fn bind(bundle: ModelBundle, cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(&cfg.addr)?;
         let model_hash = bundle.model_hash.clone();
         let slot = Arc::new(ModelSlot::new(bundle));
         let canary = Arc::new(CanaryCtl::default());
@@ -100,8 +99,7 @@ impl Server {
             runner: Mutex::new(runner),
             store,
             cfg: cfg.clone(),
-            shutting_down: AtomicBool::new(false),
-            addr,
+            shutdown: listener.shutdown(),
             started: Instant::now(),
             response_cache: (cfg.cache_mb > 0).then(|| {
                 CacheBuilder::new("serve")
@@ -121,62 +119,49 @@ impl Server {
                 .expect("spawn serve registry watcher")
         });
 
-        let conn_queue: Arc<BoundedQueue<TcpStream>> =
+        let conns: Arc<BoundedQueue<TcpStream>> =
             Arc::new(BoundedQueue::new("serve.conns", cfg.conn_queue));
-
+        let keep_alive = listener.keep_alive("serve", Duration::from_millis(cfg.keepalive_idle_ms));
         let workers = (0..cfg.resolved_workers())
             .map(|i| {
-                let q = Arc::clone(&conn_queue);
-                let shared = Arc::clone(&shared);
+                let (q, shared, keep_alive) =
+                    (Arc::clone(&conns), Arc::clone(&shared), keep_alive.clone());
                 thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
                     .spawn(move || {
                         while let Some(stream) = q.pop() {
-                            handle_connection(&shared, stream);
+                            keep_alive.serve(stream, |req| dispatch(&shared, req));
                         }
                     })
                     .expect("spawn serve worker")
             })
             .collect();
 
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let q = Arc::clone(&conn_queue);
-            thread::Builder::new()
-                .name("serve-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        // Small JSON responses must not sit in Nagle's
-                        // buffer waiting for a delayed ACK (a ~40 ms floor
-                        // on keep-alive request/response latency).
-                        let _ = stream.set_nodelay(true);
-                        // Shed *before* pushing: try_push consumes the
-                        // stream on failure, so a full queue is detected
-                        // up front while we can still answer 429. The
-                        // check/push race can drop a connection silently
-                        // under an exactly-simultaneous burst; the common
-                        // saturation path stays deterministic.
-                        if q.len() >= q.capacity() {
-                            af_obs::counter("serve.conns.shed", 1);
-                            shed(&shared.cfg, stream);
-                            continue;
-                        }
-                        if q.try_push(stream).is_err() {
-                            af_obs::counter("serve.conns.shed", 1);
-                        }
-                    }
-                    q.close();
-                })
-                .expect("spawn serve accept")
-        };
+        let addr = listener.addr();
+        let q = Arc::clone(&conns);
+        let retry_after = cfg.retry_after_s.to_string();
+        let accept = listener.spawn("serve-accept", move |mut stream| {
+            // Shed *before* pushing: try_push consumes the stream on
+            // failure, so a full queue is detected up front while we can
+            // still answer 429. The check/push race can drop a connection
+            // silently under an exactly-simultaneous burst; the common
+            // saturation path stays deterministic.
+            if q.len() >= q.capacity() {
+                af_obs::counter("serve.conns.shed", 1);
+                let _ = Response::error(429, "server overloaded, retry later")
+                    .with_header("retry-after", retry_after.clone())
+                    .with_close()
+                    .write_to(&mut stream);
+            } else if q.try_push(stream).is_err() {
+                af_obs::counter("serve.conns.shed", 1);
+            }
+        });
 
         Ok(ServerHandle {
             shared,
+            addr,
             accept: Some(accept),
+            conns,
             workers,
             watcher,
         })
@@ -187,7 +172,7 @@ impl ServerHandle {
     /// The bound address (resolves ephemeral ports).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.addr
     }
 
     /// The hot-swappable model slot (the load generator drives promotions
@@ -199,7 +184,7 @@ impl ServerHandle {
 
     /// Initiates graceful shutdown without waiting for it to finish.
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.shared);
+        self.shared.shutdown.trigger();
     }
 
     /// Blocks until the server has fully shut down: the accept loop has
@@ -209,6 +194,8 @@ impl ServerHandle {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
+        // Nothing is accepted any more: workers drain the queue, then exit.
+        self.conns.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -232,15 +219,15 @@ impl ServerHandle {
 /// and (b) a fresh candidate to put under canary. Exits with the server.
 fn watcher_loop(shared: &Shared) {
     let poll = Duration::from_millis(shared.cfg.registry_poll_ms.max(50));
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+    while !shared.shutdown.is_triggered() {
         // Interruptible sleep so shutdown is prompt.
         let mut remaining = poll;
-        while !remaining.is_zero() && !shared.shutting_down.load(Ordering::SeqCst) {
+        while !remaining.is_zero() && !shared.shutdown.is_triggered() {
             let step = remaining.min(Duration::from_millis(50));
             thread::sleep(step);
             remaining = remaining.saturating_sub(step);
         }
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        if shared.shutdown.is_triggered() {
             break;
         }
         let _guard = shared
@@ -321,67 +308,6 @@ fn swap_resident(shared: &Shared, bundle: ModelBundle) -> Arc<ModelBundle> {
     old
 }
 
-fn initiate_shutdown(shared: &Shared) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Unblock the accept loop; it re-checks the flag before queueing.
-    let _ = TcpStream::connect(shared.addr);
-}
-
-/// Writes the load-shedding response directly from the accept thread.
-fn shed(cfg: &ServeConfig, mut stream: TcpStream) {
-    let resp = Response::error(429, "server overloaded, retry later")
-        .with_header("retry-after", cfg.retry_after_s.to_string())
-        .with_close();
-    let _ = resp.write_to(&mut stream);
-}
-
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        shared.cfg.keepalive_idle_ms.max(1),
-    )));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
-    loop {
-        match read_request(&mut reader) {
-            Ok(None) => break,
-            Ok(Some(req)) => {
-                af_obs::counter("serve.requests", 1);
-                let mut resp = dispatch(shared, &req);
-                let close =
-                    resp.close || req.wants_close() || shared.shutting_down.load(Ordering::SeqCst);
-                if close {
-                    resp = resp.with_close();
-                }
-                af_obs::counter(&format!("serve.status.{}", resp.status), 1);
-                if resp.write_to(&mut stream).is_err() || close {
-                    break;
-                }
-            }
-            Err(ParseError::Bad(msg)) => {
-                af_obs::counter("serve.status.400", 1);
-                let _ = Response::error(400, &msg)
-                    .with_close()
-                    .write_to(&mut stream);
-                break;
-            }
-            Err(ParseError::TooLarge(msg)) => {
-                af_obs::counter("serve.status.413", 1);
-                let _ = Response::error(413, &msg)
-                    .with_close()
-                    .write_to(&mut stream);
-                break;
-            }
-            // Idle timeout between requests or peer reset: just close.
-            Err(ParseError::Io(_)) => break,
-        }
-    }
-}
-
 fn dispatch(shared: &Shared, req: &Request) -> Response {
     // Deadline gate for every route: a malformed budget is a client error,
     // an expired one is shed here — before the response cache, the batch
@@ -409,7 +335,7 @@ fn dispatch(shared: &Shared, req: &Request) -> Response {
         ("GET", "/v1/models") => models_list(shared),
         ("POST", "/v1/models/promote") => models_promote(shared, req),
         ("POST", "/v1/shutdown") => {
-            initiate_shutdown(shared);
+            shared.shutdown.trigger();
             Response::json(200, "{\"ok\":true}".to_string()).with_close()
         }
         (
@@ -457,13 +383,6 @@ fn with_response_cache(
         }
     }
     resp.with_header("x-cache", "miss".to_string())
-}
-
-fn json_or_500<T: serde::Serialize>(status: u16, value: &T) -> Response {
-    match serde_json::to_string(value) {
-        Ok(body) => Response::json(status, body),
-        Err(e) => Response::error(500, &format!("serialization failed: {e}")),
-    }
 }
 
 fn health(shared: &Shared) -> Response {

@@ -1,13 +1,16 @@
 //! End-to-end tests over real loopback sockets: an in-process server with
 //! a resident (untrained) model — serving semantics are independent of
-//! training quality — exercised by raw HTTP/1.1 clients.
+//! training quality — exercised through the shared HTTP client.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use af_serve::{JobStore, ModelBundle, ServeConfig, Server, ServerHandle};
+use af_serve::api::{
+    HealthResponse, ModelsResponse, PredictResponse, PromoteResponse, RouteAccepted,
+};
+use af_serve::http::{self, RawResponse};
+use af_serve::{JobRecord, JobStore, ModelBundle, ServeConfig, Server, ServerHandle};
 use analogfold::{GnnConfig, ThreeDGnn};
 
 fn tiny_bundle() -> ModelBundle {
@@ -35,90 +38,16 @@ fn start(name: &str, tweak: impl FnOnce(&mut ServeConfig)) -> (ServerHandle, std
     (Server::bind(tiny_bundle(), cfg).unwrap(), dir)
 }
 
-struct HttpResponse {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl HttpResponse {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-fn read_response(reader: &mut impl BufRead) -> HttpResponse {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"))
-        .parse()
-        .unwrap();
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line.split_once(':').unwrap();
-        let (name, value) = (name.to_ascii_lowercase(), value.trim().to_string());
-        if name == "content-length" {
-            content_length = value.parse().unwrap();
-        }
-        headers.push((name, value));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    HttpResponse {
-        status,
-        headers,
-        body: String::from_utf8(body).unwrap(),
-    }
-}
-
 /// One-shot request on a fresh connection.
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> HttpResponse {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).unwrap();
-    read_response(&mut BufReader::new(stream))
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> RawResponse {
+    http::request(&addr.to_string(), method, path, &[], body.as_bytes()).unwrap()
 }
 
-/// Pulls a JSON number field out of a flat rendering (the vendored
-/// serde_json prints maps without spaces, so `"name":value` is reliable).
-fn json_f64(body: &str, field: &str) -> f64 {
-    let key = format!("\"{field}\":");
-    let start = body
-        .find(&key)
-        .unwrap_or_else(|| panic!("{field} in {body}"))
-        + key.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}', ']']).unwrap();
-    rest[..end].parse().unwrap()
-}
-
-fn json_str(body: &str, field: &str) -> String {
-    let key = format!("\"{field}\":\"");
-    let start = body
-        .find(&key)
-        .unwrap_or_else(|| panic!("{field} in {body}"))
-        + key.len();
-    let rest = &body[start..];
-    rest[..rest.find('"').unwrap()].to_string()
+fn predict_metrics(resp: &RawResponse) -> [f64; 5] {
+    resp.json::<PredictResponse>()
+        .unwrap()
+        .performance
+        .as_array()
 }
 
 #[test]
@@ -128,9 +57,9 @@ fn health_metrics_and_error_statuses() {
 
     let health = request(addr, "GET", "/healthz", "");
     assert_eq!(health.status, 200);
-    assert_eq!(json_str(&health.body, "circuit"), "OTA1");
-    let guidance_len = json_f64(&health.body, "guidance_len") as usize;
-    assert!(guidance_len > 0);
+    let health: HealthResponse = health.json().unwrap();
+    assert_eq!(health.circuit, "OTA1");
+    assert!(health.guidance_len > 0);
 
     let metrics = request(addr, "GET", "/metrics", "");
     assert_eq!(metrics.status, 200);
@@ -149,25 +78,6 @@ fn health_metrics_and_error_statuses() {
     );
     assert_eq!(request(addr, "GET", "/v1/jobs/notanumber", "").status, 400);
     assert_eq!(request(addr, "GET", "/v1/jobs/4242", "").status, 404);
-
-    server.shutdown();
-    server.join();
-}
-
-#[test]
-fn keepalive_serves_sequential_requests_on_one_connection() {
-    let (server, _dir) = start("keepalive", |_| {});
-    let addr = server.addr();
-
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    for _ in 0..3 {
-        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(read_response(&mut reader).status, 200);
-    }
 
     server.shutdown();
     server.join();
@@ -205,22 +115,19 @@ fn batched_predictions_are_bit_identical_to_single_requests() {
             })
         })
         .collect();
-    let responses: Vec<HttpResponse> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let responses: Vec<RawResponse> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
     let mut max_batch = 0u64;
     for (resp, want) in responses.iter().zip(&expected) {
-        assert_eq!(resp.status, 200, "body: {}", resp.body);
-        let got = [
-            json_f64(&resp.body, "offset_uv"),
-            json_f64(&resp.body, "cmrr_db"),
-            json_f64(&resp.body, "bandwidth_mhz"),
-            json_f64(&resp.body, "dc_gain_db"),
-            json_f64(&resp.body, "noise_uvrms"),
-        ];
+        assert_eq!(resp.status, 200, "body: {}", resp.text());
         // Bit-identical: vendored serde_json prints f64 via `{:?}`, which
         // round-trips exactly, so exact equality is the right assertion.
-        assert_eq!(got, *want, "batched result must match one-shot predict");
-        max_batch = max_batch.max(json_f64(&resp.body, "batch_size") as u64);
+        assert_eq!(
+            predict_metrics(resp),
+            *want,
+            "batched result must match one-shot predict"
+        );
+        max_batch = max_batch.max(resp.json::<PredictResponse>().unwrap().batch_size);
     }
     assert!(
         max_batch >= 2,
@@ -244,7 +151,7 @@ fn identical_predicts_hit_the_response_cache() {
     );
 
     let first = request(addr, "POST", "/v1/predict", &body);
-    assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(first.status, 200, "body: {}", first.text());
     assert_eq!(first.header("x-cache"), Some("miss"));
 
     let second = request(addr, "POST", "/v1/predict", &body);
@@ -264,16 +171,15 @@ fn identical_predicts_hit_the_response_cache() {
     assert_eq!(other.header("x-cache"), Some("miss"));
 
     // x-no-cache bypasses: fresh compute, no x-cache header.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let raw = format!(
-        "POST /v1/predict HTTP/1.1\r\ncontent-length: {}\r\nx-no-cache: 1\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).unwrap();
-    let bypass = read_response(&mut BufReader::new(stream));
+    let no_cache = [("x-no-cache".to_string(), "1".to_string())];
+    let bypass = http::request(
+        &addr.to_string(),
+        "POST",
+        "/v1/predict",
+        &no_cache,
+        body.as_bytes(),
+    )
+    .unwrap();
     assert_eq!(bypass.status, 200);
     assert_eq!(bypass.header("x-cache"), None, "bypass skips the cache");
 
@@ -365,27 +271,28 @@ fn route_jobs_complete_survive_restart_and_drain_on_shutdown() {
         "/v1/route",
         "{\"restarts\":2,\"lbfgs_iters\":3,\"n_derive\":1,\"seed\":5}",
     );
-    assert_eq!(submit.status, 202, "body: {}", submit.body);
-    let id = json_f64(&submit.body, "id") as u64;
-    assert_eq!(json_str(&submit.body, "status"), "queued");
+    assert_eq!(submit.status, 202, "body: {}", submit.text());
+    let ticket: RouteAccepted = submit.json().unwrap();
+    assert_eq!(ticket.status, "queued");
+    let id = ticket.id;
 
     // Poll to completion.
     let deadline = Instant::now() + Duration::from_secs(300);
-    let final_body = loop {
+    let result = loop {
         let poll = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
         assert_eq!(poll.status, 200);
-        let status = json_str(&poll.body, "status");
-        match status.as_str() {
-            "done" => break poll.body,
-            "failed" => panic!("job failed: {}", poll.body),
+        let record: JobRecord = poll.json().unwrap();
+        match record.status.as_str() {
+            "done" => break record.result.expect("a done job carries its result"),
+            "failed" => panic!("job failed: {}", poll.text()),
             _ => {
                 assert!(Instant::now() < deadline, "job did not finish in time");
                 std::thread::sleep(Duration::from_millis(100));
             }
         }
     };
-    assert!(json_f64(&final_body, "wirelength_um") > 0.0);
-    assert!(json_f64(&final_body, "bandwidth_mhz").is_finite());
+    assert!(result.wirelength_um > 0.0);
+    assert!(result.performance.bandwidth_mhz.is_finite());
 
     // A second job queued right before shutdown must still complete: join()
     // drains the job queue before returning.
@@ -396,7 +303,7 @@ fn route_jobs_complete_survive_restart_and_drain_on_shutdown() {
         "{\"restarts\":1,\"lbfgs_iters\":2,\"n_derive\":1,\"seed\":6}",
     );
     assert_eq!(submit2.status, 202);
-    let id2 = json_f64(&submit2.body, "id") as u64;
+    let id2 = submit2.json::<RouteAccepted>().unwrap().id;
     let shut = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(shut.status, 200);
     server.join();
@@ -418,16 +325,6 @@ fn seeded_gnn(seed: u64) -> ThreeDGnn {
         seed,
         ..GnnConfig::default()
     })
-}
-
-fn predict_metrics(body: &str) -> [f64; 5] {
-    [
-        json_f64(body, "offset_uv"),
-        json_f64(body, "cmrr_db"),
-        json_f64(body, "bandwidth_mhz"),
-        json_f64(body, "dc_gain_db"),
-        json_f64(body, "noise_uvrms"),
-    ]
 }
 
 #[test]
@@ -477,9 +374,9 @@ fn promotion_hot_swaps_bit_stably_and_partitions_the_cache() {
 
     // Incumbent answers with its exact one-shot output; repeat hits cache.
     let first = request(addr, "POST", "/v1/predict", &body);
-    assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(first.status, 200, "body: {}", first.text());
     assert_eq!(first.header("x-cache"), Some("miss"));
-    assert_eq!(predict_metrics(&first.body), want1);
+    assert_eq!(predict_metrics(&first), want1);
     let again = request(addr, "POST", "/v1/predict", &body);
     assert_eq!(again.header("x-cache"), Some("hit"));
     assert_eq!(again.body, first.body);
@@ -492,29 +389,30 @@ fn promotion_hot_swaps_bit_stably_and_partitions_the_cache() {
         "/v1/models/promote",
         &format!("{{\"hash\":\"{h2}\"}}"),
     );
-    assert_eq!(promote.status, 200, "body: {}", promote.body);
-    assert_eq!(json_str(&promote.body, "model_hash"), h2);
-    assert_eq!(json_str(&promote.body, "previous"), h1);
+    assert_eq!(promote.status, 200, "body: {}", promote.text());
+    let promoted: PromoteResponse = promote.json().unwrap();
+    assert_eq!((promoted.model_hash, promoted.previous), (h2.clone(), h1));
 
     // Same request, new model: a cache *miss* (keys are partitioned by
     // model hash, so a stale hit is impossible) with the new model's exact
     // output — then a hit replaying exactly that.
     let swapped = request(addr, "POST", "/v1/predict", &body);
-    assert_eq!(swapped.status, 200, "body: {}", swapped.body);
+    assert_eq!(swapped.status, 200, "body: {}", swapped.text());
     assert_eq!(
         swapped.header("x-cache"),
         Some("miss"),
         "cache must not cross model versions"
     );
-    assert_eq!(predict_metrics(&swapped.body), want2);
+    assert_eq!(predict_metrics(&swapped), want2);
     let swapped_again = request(addr, "POST", "/v1/predict", &body);
     assert_eq!(swapped_again.header("x-cache"), Some("hit"));
     assert_eq!(swapped_again.body, swapped.body);
 
     let models = request(addr, "GET", "/v1/models", "");
     assert_eq!(models.status, 200);
-    assert_eq!(json_str(&models.body, "resident"), h2);
-    assert_eq!(json_str(&models.body, "current"), h2);
+    let models: ModelsResponse = models.json().unwrap();
+    assert_eq!(models.resident, h2);
+    assert_eq!(models.current, Some(h2));
 
     // A candidate with a recorded regression verdict is refused (409)
     // unless forced.
@@ -533,15 +431,15 @@ fn promotion_hot_swaps_bit_stably_and_partitions_the_cache() {
         "/v1/models/promote",
         &format!("{{\"hash\":\"{h3}\"}}"),
     );
-    assert_eq!(refused.status, 409, "body: {}", refused.body);
+    assert_eq!(refused.status, 409, "body: {}", refused.text());
     let forced = request(
         addr,
         "POST",
         "/v1/models/promote",
         &format!("{{\"hash\":\"{h3}\",\"force\":true}}"),
     );
-    assert_eq!(forced.status, 200, "body: {}", forced.body);
-    assert_eq!(json_str(&forced.body, "model_hash"), h3);
+    assert_eq!(forced.status, 200, "body: {}", forced.text());
+    assert_eq!(forced.json::<PromoteResponse>().unwrap().model_hash, h3);
 
     server.shutdown();
     server.join();
@@ -565,21 +463,22 @@ fn restart_with_new_model_marks_recovered_jobs_stale() {
         "/v1/route",
         "{\"restarts\":1,\"lbfgs_iters\":2,\"n_derive\":1,\"seed\":5}",
     );
-    assert_eq!(submit.status, 202, "body: {}", submit.body);
-    let id = json_f64(&submit.body, "id") as u64;
+    assert_eq!(submit.status, 202, "body: {}", submit.text());
+    let id = submit.json::<RouteAccepted>().unwrap().id;
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
         let poll = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
-        match json_str(&poll.body, "status").as_str() {
+        let record: JobRecord = poll.json().unwrap();
+        match record.status.as_str() {
             "done" => {
                 assert_eq!(
-                    json_str(&poll.body, "model_hash"),
-                    h1,
+                    record.model_hash.as_deref(),
+                    Some(h1.as_str()),
                     "a done job records which model produced it"
                 );
                 break;
             }
-            "failed" => panic!("job failed: {}", poll.body),
+            "failed" => panic!("job failed: {}", poll.text()),
             _ => {
                 assert!(Instant::now() < deadline, "job did not finish in time");
                 std::thread::sleep(Duration::from_millis(100));
@@ -597,11 +496,13 @@ fn restart_with_new_model_marks_recovered_jobs_stale() {
     let server = Server::bind(bundle2, cfg).unwrap();
     let poll = request(server.addr(), "GET", &format!("/v1/jobs/{id}"), "");
     assert_eq!(poll.status, 200, "recovered results stay served");
-    assert_eq!(json_str(&poll.body, "model_hash"), h1);
-    assert!(
-        poll.body.contains("\"stale_model\":true"),
+    let record: JobRecord = poll.json().unwrap();
+    assert_eq!(record.model_hash, Some(h1));
+    assert_eq!(
+        record.stale_model,
+        Some(true),
         "recovered job from a superseded model must be marked: {}",
-        poll.body
+        poll.text()
     );
     server.shutdown();
     server.join();

@@ -17,8 +17,7 @@
 //!    answers in-flight requests with `503` while `/healthz` reports
 //!    `degraded` until the supervisor's replacement thread proves stable.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use analogfold_suite::analogfold::{
@@ -30,6 +29,8 @@ use analogfold_suite::fault::{self, FaultMode, RetryPolicy};
 use analogfold_suite::netlist::{benchmarks, NetId};
 use analogfold_suite::place::{place, PlacementVariant};
 use analogfold_suite::route::{Router, RouterConfig, RoutingGuidance};
+use analogfold_suite::serve::api::HealthResponse;
+use analogfold_suite::serve::http::{self, RawResponse};
 use analogfold_suite::serve::{ModelBundle, ServeConfig, Server};
 use analogfold_suite::sim::SimConfig;
 use analogfold_suite::tech::Technology;
@@ -270,70 +271,17 @@ fn env_armed_flow_completes() {
 
 // ---------------------------------------------------------------------------
 // Serving tier: collector panic → 503 for in-flight work, degraded health,
-// supervisor restart, full recovery. Minimal HTTP/1.1 client over loopback.
+// supervisor restart, full recovery.
 
-struct HttpResponse {
-    status: u16,
-    body: String,
+/// One-shot request on a fresh connection.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> RawResponse {
+    http::request(&addr.to_string(), method, path, &[], body.as_bytes()).unwrap()
 }
 
-fn read_response(reader: &mut impl BufRead) -> HttpResponse {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line.split(' ').nth(1).unwrap().parse().unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap();
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    HttpResponse {
-        status,
-        body: String::from_utf8(body).unwrap(),
-    }
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> HttpResponse {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).unwrap();
-    read_response(&mut BufReader::new(stream))
-}
-
-fn json_f64(body: &str, field: &str) -> f64 {
-    let key = format!("\"{field}\":");
-    let start = body
-        .find(&key)
-        .unwrap_or_else(|| panic!("{field} in {body}"))
-        + key.len();
-    let rest = &body[start..];
-    rest[..rest.find([',', '}', ']']).unwrap()].parse().unwrap()
-}
-
-fn json_str(body: &str, field: &str) -> String {
-    let key = format!("\"{field}\":\"");
-    let start = body
-        .find(&key)
-        .unwrap_or_else(|| panic!("{field} in {body}"))
-        + key.len();
-    let rest = &body[start..];
-    rest[..rest.find('"').unwrap()].to_string()
+fn health(addr: SocketAddr) -> HealthResponse {
+    let reply = request(addr, "GET", "/healthz", "");
+    assert_eq!(reply.status, 200, "health stays up while degraded");
+    reply.json().unwrap()
 }
 
 #[test]
@@ -357,9 +305,10 @@ fn serve_recovers_from_collector_panic() {
 
     let first = request(addr, "POST", "/v1/predict", &body);
     assert_eq!(
-        first.status, 503,
+        first.status,
+        503,
         "the in-flight request gets an error, not a hang: {}",
-        first.body
+        first.text()
     );
 
     // The supervisor marks the server degraded for backoff + grace
@@ -367,9 +316,7 @@ fn serve_recovers_from_collector_panic() {
     let deadline = Instant::now() + Duration::from_millis(300);
     let mut saw_degraded = false;
     while Instant::now() < deadline {
-        let health = request(addr, "GET", "/healthz", "");
-        assert_eq!(health.status, 200, "health stays up while degraded");
-        if json_str(&health.body, "status") == "degraded" {
+        if health(addr).status == "degraded" {
             saw_degraded = true;
             break;
         }
@@ -380,21 +327,17 @@ fn serve_recovers_from_collector_panic() {
     // ... and clears the flag once the replacement collector holds.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let health = request(addr, "GET", "/healthz", "");
-        if json_str(&health.body, "status") == "ok" {
-            assert!(json_f64(&health.body, "restarts") >= 1.0);
+        let now = health(addr);
+        if now.status == "ok" {
+            assert!(now.restarts >= 1);
             break;
         }
-        assert!(
-            Instant::now() < deadline,
-            "server never recovered: {}",
-            health.body
-        );
+        assert!(Instant::now() < deadline, "server never recovered: {now:?}");
         std::thread::sleep(Duration::from_millis(50));
     }
 
     let second = request(addr, "POST", "/v1/predict", &body);
-    assert_eq!(second.status, 200, "body: {}", second.body);
+    assert_eq!(second.status, 200, "body: {}", second.text());
 
     server.shutdown();
     server.join();
@@ -807,8 +750,8 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
                     "/v1/predict",
                     &bodies_for(guidance_len, nonce),
                 );
-                assert_eq!(reply.status, 200, "{}", reply.body);
-                reply.body
+                assert_eq!(reply.status, 200, "{}", reply.text());
+                reply.text().into_owned()
             })
             .collect();
 
@@ -824,7 +767,8 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
             );
             assert_eq!(direct.status, 200);
             assert_eq!(
-                direct.body, bodies[0],
+                direct.text(),
+                bodies[0],
                 "replica {id} disagrees with the front"
             );
         }

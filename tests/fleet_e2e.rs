@@ -7,9 +7,12 @@
 //! 2. Distributed dataset generation (coordinator + leasing workers over
 //!    HTTP) assembles a dataset bit-identical to the single-process
 //!    baseline — the determinism contract the healing story rests on.
+//! 3. Worker, front and coordinator share one listener and keep-alive
+//!    loop, so one framing and shutdown test runs against all three.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use analogfold_suite::analogfold::{
@@ -20,6 +23,7 @@ use analogfold_suite::fleet::{
     FrontHandle, GenSpec, WorkerAgent, WorkerCaps, WorkerIdentity,
 };
 use analogfold_suite::guard::HedgeConfig;
+use analogfold_suite::serve::http::{self, read_response, RawResponse, MAX_BODY};
 use analogfold_suite::serve::{ModelBundle, ServeConfig, Server};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -36,23 +40,8 @@ fn small_gnn() -> ThreeDGnn {
     })
 }
 
-struct Reply {
-    status: u16,
-    body: String,
-    headers: Vec<(String, String)>,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// One-shot HTTP exchange on a fresh connection (connection: close).
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Reply {
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> RawResponse {
     request_with(addr, method, path, body, &[])
 }
 
@@ -63,49 +52,12 @@ fn request_with(
     path: &str,
     body: &str,
     extra: &[(&str, &str)],
-) -> Reply {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let extra_lines: String = extra
+) -> RawResponse {
+    let headers: Vec<(String, String)> = extra
         .iter()
-        .map(|(name, value)| format!("{name}: {value}\r\n"))
+        .map(|(name, value)| ((*name).to_string(), (*value).to_string()))
         .collect();
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n{extra_lines}connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line.split(' ').nth(1).unwrap().parse().unwrap();
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().unwrap();
-            }
-            headers.push((name, value));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    Reply {
-        status,
-        body: String::from_utf8(body).unwrap(),
-        headers,
-    }
+    http::request(&addr.to_string(), method, path, &headers, body.as_bytes()).unwrap()
 }
 
 fn wait_ring(front: &FrontHandle, want: usize) {
@@ -194,7 +146,7 @@ fn front_parity_failover_and_ring_shrink() {
     // routed-to worker the direct call replays the front-warmed cache).
     let body = guidance_body(guidance_len, 1);
     let via_front = request(front.addr(), "POST", "/v1/predict", &body);
-    assert_eq!(via_front.status, 200, "{}", via_front.body);
+    assert_eq!(via_front.status, 200, "{}", via_front.text());
     let served_by = via_front
         .header("x-fleet-worker")
         .expect("front stamps the serving worker")
@@ -220,9 +172,10 @@ fn front_parity_failover_and_ring_shrink() {
     let survivor = rigs[0].0.clone();
     let failover = request(front.addr(), "POST", "/v1/predict", &body);
     assert_eq!(
-        failover.status, 200,
+        failover.status,
+        200,
         "single-hop retry must hide the dead replica: {}",
-        failover.body
+        failover.text()
     );
     assert_eq!(failover.header("x-fleet-worker"), Some(survivor.as_str()));
     assert_eq!(failover.body, via_front.body);
@@ -396,7 +349,7 @@ fn deadline_propagation_and_front_shedding() {
         &body,
         &[("x-deadline-ms", "30000")],
     );
-    assert_eq!(budgeted.status, 200, "{}", budgeted.body);
+    assert_eq!(budgeted.status, 200, "{}", budgeted.text());
     let direct = request(server.addr(), "POST", "/v1/predict", &body);
     assert_eq!(budgeted.body, direct.body);
 
@@ -410,7 +363,7 @@ fn deadline_propagation_and_front_shedding() {
             &body,
             &[("x-deadline-ms", spent)],
         );
-        assert_eq!(shed.status, 408, "value {spent:?}: {}", shed.body);
+        assert_eq!(shed.status, 408, "value {spent:?}: {}", shed.text());
     }
 
     // Garbage is the client's bug: 400, not 408.
@@ -421,7 +374,7 @@ fn deadline_propagation_and_front_shedding() {
         &body,
         &[("x-deadline-ms", "soon-ish")],
     );
-    assert_eq!(bad.status, 400, "{}", bad.body);
+    assert_eq!(bad.status, 400, "{}", bad.text());
 
     // An expired /v1/route is shed before any job is enqueued: the worker's
     // job directory must hold no shard afterwards.
@@ -432,7 +385,7 @@ fn deadline_propagation_and_front_shedding() {
         "{\"bench\":\"OTA1\",\"variant\":\"A\"}",
         &[("x-deadline-ms", "0")],
     );
-    assert_eq!(route.status, 408, "{}", route.body);
+    assert_eq!(route.status, 408, "{}", route.text());
     let jobs = std::fs::read_dir(&job_dir).map(|d| d.count()).unwrap_or(0);
     assert_eq!(jobs, 0, "an expired route request must enqueue nothing");
 
@@ -444,4 +397,103 @@ fn deadline_propagation_and_front_shedding() {
     coord.shutdown();
     coord.join();
     let _ = std::fs::remove_dir_all(&job_dir);
+}
+
+/// Drives the role at `addr` with raw request bytes — keep-alive, 400 and
+/// 413 with close, `connection: close` — then shuts it down, through its
+/// `shutdown()` when `call` and else through `shutdown_path`, and checks
+/// that `stop` (its `join()`) returns.
+fn check_role(
+    role: &str,
+    shutdown_path: &str,
+    addr: SocketAddr,
+    call: bool,
+    stop: impl FnOnce() + Send + 'static,
+) {
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+    let keep_alive = connect();
+    let mut reader = BufReader::new(&keep_alive);
+    for i in 0..3 {
+        (&keep_alive)
+            .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let resp = read_response(&mut reader).unwrap();
+        assert_eq!((resp.status, resp.close), (200, false), "{role}: {i}");
+    }
+    drop(keep_alive);
+    let oversize = format!(
+        "POST /healthz HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        MAX_BODY + 1
+    );
+    for (raw, want) in [
+        ("GARBAGE\r\n\r\n", 400),
+        (oversize.as_str(), 413),
+        ("GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n", 200),
+    ] {
+        let stream = connect();
+        (&stream).write_all(raw.as_bytes()).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let resp = read_response(&mut reader).unwrap();
+        assert_eq!((resp.status, resp.close), (want, true), "{role}: {want}");
+        let closed = reader.read(&mut [0u8; 1]).unwrap() == 0;
+        assert!(closed, "{role}: the connection closes after the {want}");
+    }
+
+    if !call {
+        let ack = request(addr, "POST", shutdown_path, "");
+        assert_eq!((ack.status, ack.close), (200, true), "{role}");
+    }
+    // Either way the accept loop must wake up and join() return.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        let _ = tx.send(());
+    });
+    let joined = rx.recv_timeout(Duration::from_secs(20)).is_ok();
+    assert!(joined, "{role}: join() hung (shutdown() called: {call})");
+}
+
+#[test]
+fn framing_and_shutdown_hold_on_every_role() {
+    for call in [true, false] {
+        let bundle = ModelBundle::with_model("OTA1", "A", small_gnn()).unwrap();
+        let job_dir = Some(tmp_dir("framing-worker"));
+        let cfg = ServeConfig {
+            job_dir,
+            ..ServeConfig::default()
+        };
+        let worker = Server::bind(bundle, cfg).unwrap();
+        check_role("worker", "/v1/shutdown", worker.addr(), call, move || {
+            if call {
+                worker.shutdown();
+            }
+            worker.join();
+        });
+        let front = Front::bind(FrontConfig::default()).unwrap();
+        check_role("front", "/v1/shutdown", front.addr(), call, move || {
+            if call {
+                front.shutdown();
+            }
+            front.join();
+        });
+        let coord = Coordinator::bind(CoordinatorConfig::default()).unwrap();
+        check_role(
+            "coordinator",
+            "/fleet/shutdown",
+            coord.addr(),
+            call,
+            move || {
+                if call {
+                    coord.shutdown();
+                }
+                coord.join();
+            },
+        );
+    }
 }
