@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use af_netlist::{Circuit, NetId, NetType};
-use af_nn::{ConvVae, ConvVaeConfig, Tensor, Vae, VaeConfig};
+use af_nn::{Tensor, Vae, VaeConfig};
 use af_place::Placement;
 use af_route::{GuidanceMap2D, RoutedLayout, RoutingGuidance};
 
@@ -62,9 +62,6 @@ pub struct GeniusConfig {
     /// Cost-multiplier strength: cells with probability 0 cost
     /// `1 + strength`, cells with probability 1 cost `1`.
     pub strength: f64,
-    /// Use the convolutional VAE (closer to the original GeniusRoute's
-    /// architecture) instead of the MLP VAE.
-    pub convolutional: bool,
     /// Seed.
     pub seed: u64,
 }
@@ -77,37 +74,7 @@ impl Default for GeniusConfig {
             latent: 6,
             epochs: 60,
             strength: 2.0,
-            convolutional: false,
             seed: 31,
-        }
-    }
-}
-
-/// Either flavor of generative model behind the baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum AnyVae {
-    /// MLP encoder/decoder (fast default).
-    Mlp(Vae),
-    /// Convolutional encoder/decoder (faithful to the original).
-    Conv(ConvVae),
-}
-
-impl AnyVae {
-    fn train(&mut self, data: &[Tensor], epochs: usize) {
-        match self {
-            AnyVae::Mlp(v) => {
-                v.train(data, epochs);
-            }
-            AnyVae::Conv(v) => {
-                v.train(data, epochs);
-            }
-        }
-    }
-
-    fn reconstruct(&self, x: &Tensor) -> Tensor {
-        match self {
-            AnyVae::Mlp(v) => v.reconstruct(x),
-            AnyVae::Conv(v) => v.reconstruct(x),
         }
     }
 }
@@ -117,7 +84,7 @@ impl AnyVae {
 pub struct GeniusRouteModel {
     raster: usize,
     strength: f64,
-    vaes: HashMap<NetClass, AnyVae>,
+    vaes: HashMap<NetClass, Vae>,
 }
 
 impl GeniusRouteModel {
@@ -146,24 +113,13 @@ impl GeniusRouteModel {
         }
         let mut vaes = HashMap::new();
         for (class, data) in per_class {
-            let mut vae = if cfg.convolutional {
-                AnyVae::Conv(ConvVae::new(ConvVaeConfig {
-                    h: cfg.raster,
-                    w: cfg.raster,
-                    channels: 4,
-                    latent: cfg.latent,
-                    seed: cfg.seed ^ class as u64,
-                    ..ConvVaeConfig::default()
-                }))
-            } else {
-                AnyVae::Mlp(Vae::new(VaeConfig {
-                    input_dim: dim,
-                    hidden: cfg.hidden,
-                    latent: cfg.latent,
-                    seed: cfg.seed ^ class as u64,
-                    ..VaeConfig::default()
-                }))
-            };
+            let mut vae = Vae::new(VaeConfig {
+                input_dim: dim,
+                hidden: cfg.hidden,
+                latent: cfg.latent,
+                seed: cfg.seed ^ class as u64,
+                ..VaeConfig::default()
+            });
             vae.train(&data, cfg.epochs);
             vaes.insert(class, vae);
         }
@@ -326,30 +282,6 @@ mod tests {
         // signal wires exist somewhere
         let wd = wire_density(&c, &p, &l, NetClass::Signal, 8);
         assert!(wd.iter().any(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn convolutional_variant_trains_and_guides() {
-        let c = benchmarks::ota1();
-        let t = Technology::nm40();
-        let pb = place(&c, PlacementVariant::B);
-        let lb = Router::new(RouterConfig::default())
-            .unwrap()
-            .route(&c, &pb, &t, &RoutingGuidance::None)
-            .unwrap();
-        let cfg = GeniusConfig {
-            epochs: 5,
-            raster: 6,
-            latent: 3,
-            convolutional: true,
-            ..GeniusConfig::default()
-        };
-        let model = GeniusRouteModel::train(&c, &[(&pb, &lb)], &cfg);
-        let pa = place(&c, PlacementVariant::A);
-        match model.guidance(&c, &pa) {
-            RoutingGuidance::Map(m) => assert!(!m.is_empty()),
-            _ => panic!("expected a 2-D map"),
-        }
     }
 
     #[test]

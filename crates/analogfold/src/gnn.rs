@@ -19,9 +19,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use af_nn::{
-    Activation, Adam, AdamConfig, BoundMlp, Graph, Mlp, NodeId, TapeAdam, TapeMlp, Tensor,
-};
+use af_nn::{Activation, AdamConfig, Mlp, TapeAdam, TapeMlp, Tensor};
 use af_tensor::{CsrIndex, CsrRef, Tape, Var};
 
 use crate::dataset::{Dataset, TargetStats};
@@ -96,12 +94,6 @@ struct MessageWeights {
     out: Mlp,
 }
 
-struct BoundMessage {
-    src: BoundMlp,
-    rbf: BoundMlp,
-    out: BoundMlp,
-}
-
 impl MessageWeights {
     fn new(hidden: usize, dist_features: usize, rng: &mut ChaCha8Rng) -> Self {
         Self {
@@ -109,28 +101,6 @@ impl MessageWeights {
             rbf: Mlp::new(&[dist_features, hidden], Activation::Silu, rng),
             out: Mlp::new(&[hidden, hidden], Activation::Silu, rng),
         }
-    }
-
-    fn bind(&self, g: &mut Graph, frozen: bool) -> BoundMessage {
-        let b = |m: &Mlp, g: &mut Graph| if frozen { m.bind_frozen(g) } else { m.bind(g) };
-        BoundMessage {
-            src: b(&self.src, g),
-            rbf: b(&self.rbf, g),
-            out: b(&self.out, g),
-        }
-    }
-
-    fn sync(&mut self, g: &Graph, b: &BoundMessage) {
-        self.src.sync_from(g, &b.src);
-        self.rbf.sync_from(g, &b.rbf);
-        self.out.sync_from(g, &b.out);
-    }
-
-    fn params(b: &BoundMessage) -> Vec<NodeId> {
-        let mut p = b.src.params();
-        p.extend(b.rbf.params());
-        p.extend(b.out.params());
-        p
     }
 
     fn bind_tape(&self, t: &mut Tape) -> TapeMessage {
@@ -295,12 +265,6 @@ impl GraphTensors {
         self.guided_idx.len() * 3
     }
 
-    /// Messages moved per message-passing layer: PP plus both MP directions
-    /// plus MM. The throughput benchmarks report edges/second against this.
-    pub fn edges_per_pass(&self) -> usize {
-        self.pp_src.len() + 2 * self.mp_src_m.len() + self.mm_src.len()
-    }
-
     /// Approximate resident size in bytes, used as the weight of a cached
     /// prefix in the process-wide tensor cache.
     pub fn approx_bytes(&self) -> usize {
@@ -327,17 +291,6 @@ impl GraphTensors {
     }
 }
 
-struct BoundGnn {
-    ap_encoder: BoundMlp,
-    m_encoder: BoundMlp,
-    pp: Vec<BoundMessage>,
-    mp: Vec<BoundMessage>,
-    pm: Vec<BoundMessage>,
-    mm: Vec<BoundMlp>,
-    readout: BoundMlp,
-    head: BoundMlp,
-}
-
 struct TapeGnn {
     ap_encoder: TapeMlp,
     m_encoder: TapeMlp,
@@ -347,17 +300,6 @@ struct TapeGnn {
     mm: Vec<TapeMlp>,
     readout: TapeMlp,
     head: TapeMlp,
-}
-
-/// Forces every GNN entry point onto the scalar `af_nn::Graph` oracle.
-/// Checked once per process: set `AF_GNN_ORACLE=1` before startup.
-pub(crate) fn oracle_forced() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("AF_GNN_ORACLE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
 }
 
 impl ThreeDGnn {
@@ -425,20 +367,6 @@ impl ThreeDGnn {
             .collect()
     }
 
-    fn bind(&self, g: &mut Graph, frozen: bool) -> BoundGnn {
-        let b = |m: &Mlp, g: &mut Graph| if frozen { m.bind_frozen(g) } else { m.bind(g) };
-        BoundGnn {
-            ap_encoder: b(&self.ap_encoder, g),
-            m_encoder: b(&self.m_encoder, g),
-            pp: self.pp.iter().map(|w| w.bind(g, frozen)).collect(),
-            mp: self.mp.iter().map(|w| w.bind(g, frozen)).collect(),
-            pm: self.pm.iter().map(|w| w.bind(g, frozen)).collect(),
-            mm: self.mm.iter().map(|m| b(m, g)).collect(),
-            readout: b(&self.readout, g),
-            head: b(&self.head, g),
-        }
-    }
-
     fn bind_tape(&self, t: &mut Tape) -> TapeGnn {
         TapeGnn {
             ap_encoder: self.ap_encoder.bind_tape(t),
@@ -452,153 +380,11 @@ impl ThreeDGnn {
         }
     }
 
-    /// Distance-augmented message pass for one edge type. `rbf_centers` is
-    /// the table hoisted out of the per-layer loop by `forward` (empty when
-    /// RBF features are disabled).
-    #[allow(clippy::too_many_arguments)]
-    fn message_pass(
-        &self,
-        g: &mut Graph,
-        weights: &BoundMessage,
-        h_src: NodeId,
-        src_idx: &[usize],
-        dst_idx: &[usize],
-        deltas: NodeId,
-        c_full: NodeId,
-        n_dst: usize,
-        rbf_centers: &[f64],
-    ) -> NodeId {
-        let v_src = g.gather(h_src, src_idx);
-        // d_cost (Eq. 1): the receiver's guidance scales the per-axis deltas.
-        let c_dst = g.gather(c_full, dst_idx);
-        let scaled = g.mul(c_dst, deltas);
-        let sq = g.square(scaled);
-        let ssum = g.sum_cols(sq);
-        let d = g.sqrt(ssum);
-        let psi = if self.cfg_use_rbf {
-            g.rbf(d, self.cfg_rbf_gamma, rbf_centers)
-        } else {
-            d
-        };
-        // Eq. 5: MLP(MLP(v_src) ⊙ MLP(Ψ(d)))
-        let a = weights.src.forward(g, v_src);
-        let bm = weights.rbf.forward(g, psi);
-        let prod = g.mul(a, bm);
-        let msg = weights.out.forward(g, prod);
-        g.scatter_add(msg, dst_idx, n_dst)
-    }
-
-    /// Full forward pass: returns the `1 × 5` **normalized** prediction.
-    fn forward(
-        &self,
-        g: &mut Graph,
-        bound: &BoundGnn,
-        t: &GraphTensors,
-        c_guided: NodeId,
-    ) -> NodeId {
-        // Assemble the full per-AP guidance: guided rows from the input,
-        // neutral rows elsewhere.
-        let scattered = g.scatter_add(c_guided, &t.guided_idx, t.n_aps);
-        let base = g.input(t.c_base.clone());
-        let c_full = g.add(scattered, base);
-
-        let ap_in = g.input(t.ap_feats.clone());
-        let m_in = g.input(t.m_feats.clone());
-        let mut h_ap = bound.ap_encoder.forward(g, ap_in);
-        let mut h_m = bound.m_encoder.forward(g, m_in);
-
-        let pp_deltas = g.input(t.pp_deltas.clone());
-        let mp_deltas = g.input(t.mp_deltas.clone());
-
-        // Hoisted out of the layer loop: the RBF center table is a pure
-        // function of the model config, so one allocation serves every
-        // message pass of this forward.
-        let rbf_centers = if self.cfg_use_rbf {
-            self.rbf_centers_vec()
-        } else {
-            Vec::new()
-        };
-
-        for l in 0..self.cfg_layers {
-            // E_PP: AP -> AP.
-            if !t.pp_src.is_empty() {
-                let agg = self.message_pass(
-                    g,
-                    &bound.pp[l],
-                    h_ap,
-                    &t.pp_src,
-                    &t.pp_dst,
-                    pp_deltas,
-                    c_full,
-                    t.n_aps,
-                    &rbf_centers,
-                );
-                h_ap = g.add(h_ap, agg);
-            }
-            // E_MP: module -> AP.
-            if self.cfg_use_modules && !t.mp_src_m.is_empty() {
-                let agg = self.message_pass(
-                    g,
-                    &bound.mp[l],
-                    h_m,
-                    &t.mp_src_m,
-                    &t.mp_dst_a,
-                    mp_deltas,
-                    c_full,
-                    t.n_aps,
-                    &rbf_centers,
-                );
-                h_ap = g.add(h_ap, agg);
-                // E_PM: AP -> module (reverse direction, same deltas/C).
-                let v_src = g.gather(h_ap, &t.mp_dst_a);
-                let c_dst = g.gather(c_full, &t.mp_dst_a);
-                let scaled = g.mul(c_dst, mp_deltas);
-                let sq = g.square(scaled);
-                let ssum = g.sum_cols(sq);
-                let d = g.sqrt(ssum);
-                let psi = if self.cfg_use_rbf {
-                    g.rbf(d, self.cfg_rbf_gamma, &rbf_centers)
-                } else {
-                    d
-                };
-                let a = bound.pm[l].src.forward(g, v_src);
-                let bm = bound.pm[l].rbf.forward(g, psi);
-                let prod = g.mul(a, bm);
-                let msg = bound.pm[l].out.forward(g, prod);
-                let agg_m = g.scatter_add(msg, &t.mp_src_m, t.n_modules);
-                h_m = g.add(h_m, agg_m);
-            }
-            // E_MM: module -> module (logical, no distance term).
-            if self.cfg_use_modules && !t.mm_src.is_empty() {
-                let v_src = g.gather(h_m, &t.mm_src);
-                let msg = bound.mm[l].forward(g, v_src);
-                let agg = g.scatter_add(msg, &t.mm_dst, t.n_modules);
-                h_m = g.add(h_m, agg);
-            }
-        }
-
-        // Global readout: u = Σ MLP(v) over both node sets (Eq. 4's φ_u),
-        // scaled by 1/N (equivalent up to head weights, but keeps the head's
-        // input O(1) so the guidance-driven modulation is not drowned out).
-        let r_ap = bound.readout.forward(g, h_ap);
-        let r_m = bound.readout.forward(g, h_m);
-        let ones_ap = g.input(Tensor::ones(1, t.n_aps));
-        let ones_m = g.input(Tensor::ones(1, t.n_modules));
-        let sum_ap = g.matmul(ones_ap, r_ap);
-        let sum_m = g.matmul(ones_m, r_m);
-        let u = g.add(sum_ap, sum_m);
-        let u = g.scale(u, 1.0 / (t.n_aps + t.n_modules) as f64);
-        bound.head.forward(g, u)
-    }
-
     /// Trains on a dataset of (guidance, metrics) pairs; returns per-epoch
     /// mean L2 loss on normalized targets.
     ///
-    /// Runs on the `af_tensor` fast path: the whole forward+backward is
-    /// compiled onto one tape and replayed per sample with zero allocations.
-    /// Bit-identical to [`train_oracle`](Self::train_oracle) (same shuffle
-    /// stream, same Adam math); set `AF_GNN_ORACLE=1` to force the scalar
-    /// path.
+    /// The whole forward+backward is compiled onto one tape and replayed
+    /// per sample with zero allocations.
     ///
     /// # Panics
     ///
@@ -609,9 +395,6 @@ impl ThreeDGnn {
         dataset: &Dataset,
         cfg: &GnnConfig,
     ) -> TrainReport {
-        if oracle_forced() {
-            return self.train_oracle(graph, dataset, cfg);
-        }
         assert!(!dataset.samples.is_empty(), "empty dataset");
         let t = GraphTensors::new(graph);
         assert_eq!(
@@ -656,152 +439,17 @@ impl ThreeDGnn {
         }
     }
 
-    /// The scalar-graph training path, kept verbatim as the bit-exactness
-    /// oracle for [`train`](Self::train).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is empty or guidance lengths mismatch the graph.
-    pub fn train_oracle(
-        &mut self,
-        graph: &HeteroGraph,
-        dataset: &Dataset,
-        cfg: &GnnConfig,
-    ) -> TrainReport {
-        assert!(!dataset.samples.is_empty(), "empty dataset");
-        let t = GraphTensors::new(graph);
-        assert_eq!(
-            dataset.samples[0].guidance.len(),
-            t.guidance_len(),
-            "guidance length mismatch"
-        );
-        self.stats = TargetStats::fit(dataset);
-
-        let mut g = Graph::new();
-        let bound = self.bind(&mut g, false);
-        let params: Vec<NodeId> = {
-            let mut p = bound.ap_encoder.params();
-            p.extend(bound.m_encoder.params());
-            for w in &bound.pp {
-                p.extend(MessageWeights::params(w));
-            }
-            for w in &bound.mp {
-                p.extend(MessageWeights::params(w));
-            }
-            for w in &bound.pm {
-                p.extend(MessageWeights::params(w));
-            }
-            for m in &bound.mm {
-                p.extend(m.params());
-            }
-            p.extend(bound.readout.params());
-            p.extend(bound.head.params());
-            p
-        };
-        let mut opt = Adam::new(
-            params,
-            AdamConfig {
-                lr: cfg.lr,
-                ..AdamConfig::default()
-            },
-            &g,
-        );
-
-        let _train = af_obs::span!("gnn_train");
-        let mut order: Vec<usize> = (0..dataset.samples.len()).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xdead);
-        let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-        for epoch in 0..cfg.epochs {
-            let _e = af_obs::span!("epoch", epoch);
-            use rand::seq::SliceRandom;
-            order.shuffle(&mut rng);
-            let mut total = 0.0;
-            for &si in &order {
-                let sample = &dataset.samples[si];
-                g.reset();
-                let c = g.input(Tensor::from_vec(
-                    sample.guidance.clone(),
-                    t.guided_idx.len(),
-                    3,
-                ));
-                let pred = self.forward(&mut g, &bound, &t, c);
-                let target = g.input(Tensor::from_vec(
-                    self.stats.normalize(&sample.metrics()).to_vec(),
-                    1,
-                    5,
-                ));
-                let loss = g.mse(pred, target);
-                g.backward(loss);
-                total += g.value(loss).get(0, 0);
-                opt.step(&mut g);
-            }
-            epoch_losses.push(total / dataset.samples.len() as f64);
-        }
-        // Persist trained weights.
-        self.ap_encoder.sync_from(&g, &bound.ap_encoder);
-        self.m_encoder.sync_from(&g, &bound.m_encoder);
-        for (w, b) in self.pp.iter_mut().zip(&bound.pp) {
-            w.sync(&g, b);
-        }
-        for (w, b) in self.mp.iter_mut().zip(&bound.mp) {
-            w.sync(&g, b);
-        }
-        for (w, b) in self.pm.iter_mut().zip(&bound.pm) {
-            w.sync(&g, b);
-        }
-        for (w, b) in self.mm.iter_mut().zip(&bound.mm) {
-            w.sync_from(&g, b);
-        }
-        self.readout.sync_from(&g, &bound.readout);
-        self.head.sync_from(&g, &bound.head);
-
-        let final_loss = *epoch_losses.last().expect("at least one epoch");
-        TrainReport {
-            epoch_losses,
-            final_loss,
-        }
-    }
-
     /// Predicts the five (unnormalized) metrics for a guidance vector.
     ///
-    /// Runs on the `af_tensor` fast path (bit-identical to
-    /// [`predict_oracle`](Self::predict_oracle); set `AF_GNN_ORACLE=1` to
-    /// force the scalar path). For repeated predictions over one graph,
-    /// prefer [`session`](Self::session), which compiles the tape once.
+    /// For repeated predictions over one graph, prefer
+    /// [`session`](Self::session), which compiles the tape once.
     ///
     /// # Panics
     ///
     /// Panics if `guidance.len()` mismatches the graph's guided APs × 3.
     pub fn predict(&self, graph: &HeteroGraph, guidance: &[f64]) -> [f64; 5] {
-        if oracle_forced() {
-            return self.predict_oracle(graph, guidance);
-        }
         let t = crate::cache::tensors_cached(graph);
         GnnProgram::compile_predict(self, &t).predict(guidance)
-    }
-
-    /// The scalar-graph prediction path, kept verbatim as the bit-exactness
-    /// oracle for [`predict`](Self::predict).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guidance.len()` mismatches the graph's guided APs × 3.
-    pub fn predict_oracle(&self, graph: &HeteroGraph, guidance: &[f64]) -> [f64; 5] {
-        let t = crate::cache::tensors_cached(graph);
-        assert_eq!(guidance.len(), t.guidance_len(), "guidance length mismatch");
-        let mut g = Graph::new();
-        let bound = self.bind(&mut g, true);
-        let c = g.input(Tensor::from_vec(guidance.to_vec(), t.guided_idx.len(), 3));
-        let pred = self.forward(&mut g, &bound, &t, c);
-        let row = g.value(pred);
-        let normalized = [
-            row.get(0, 0),
-            row.get(0, 1),
-            row.get(0, 2),
-            row.get(0, 3),
-            row.get(0, 4),
-        ];
-        self.stats.denormalize(&normalized)
     }
 
     /// Weighted FoM of the normalized predictions and its gradient w.r.t.
@@ -811,51 +459,16 @@ impl ThreeDGnn {
     /// positive for lower-is-better metrics and negative for
     /// higher-is-better ones.
     ///
-    /// Runs on the `af_tensor` fast path, with the weight-gradient cone
-    /// statically pruned (bit-identical to
-    /// [`fom_and_grad_oracle`](Self::fom_and_grad_oracle); set
-    /// `AF_GNN_ORACLE=1` to force the scalar path). Callers evaluating many
-    /// points should compile [`GnnProgram::compile_fom`] once and replay it.
+    /// The weight-gradient cone is statically pruned. Callers evaluating
+    /// many points should compile [`GnnProgram::compile_fom`] once and
+    /// replay it.
     pub fn fom_and_grad(
         &self,
         tensors: &GraphTensors,
         guidance: &[f64],
         weights: &[f64; 5],
     ) -> (f64, Vec<f64>) {
-        if oracle_forced() {
-            return self.fom_and_grad_oracle(tensors, guidance, weights);
-        }
         GnnProgram::compile_fom(self, tensors, weights).fom_and_grad(guidance)
-    }
-
-    /// The scalar-graph FoM path, kept verbatim as the bit-exactness oracle
-    /// for [`fom_and_grad`](Self::fom_and_grad).
-    pub fn fom_and_grad_oracle(
-        &self,
-        tensors: &GraphTensors,
-        guidance: &[f64],
-        weights: &[f64; 5],
-    ) -> (f64, Vec<f64>) {
-        // The relaxation's hot path: time surrogate evaluations only when
-        // recording is on (the measured wall time never feeds the result).
-        let t0 = af_obs::enabled().then(std::time::Instant::now);
-        let mut g = Graph::new();
-        let c = g.param(Tensor::from_vec(
-            guidance.to_vec(),
-            tensors.guided_idx.len(),
-            3,
-        ));
-        let bound = self.bind(&mut g, true);
-        let pred = self.forward(&mut g, &bound, tensors, c);
-        let w = g.input(Tensor::from_vec(weights.to_vec(), 1, 5));
-        let weighted = g.mul(pred, w);
-        let fom = g.sum(weighted);
-        g.backward(fom);
-        if let Some(t0) = t0 {
-            af_obs::hist("gnn.fom_grad_us", t0.elapsed().as_secs_f64() * 1e6);
-            af_obs::counter("gnn.fom_grad_evals", 1);
-        }
-        (g.value(fom).get(0, 0), g.grad(c).data().to_vec())
     }
 
     /// Builds the constant tensor cache for a graph (shared across many
@@ -881,16 +494,13 @@ impl ThreeDGnn {
             + self.head.param_count()
     }
 
-    /// Opens a long-lived prediction session for one graph: the tensor
-    /// cache is built once and the whole forward pass is compiled onto one
-    /// reusable tape, so repeated predictions are allocation-free replays.
-    /// This is what keeps a resident model (e.g. `af-serve`) cheap per
-    /// request. Every [`PredictSession::predict`] is bit-identical to
-    /// [`ThreeDGnn::predict`].
-    pub fn session(&self, graph: &HeteroGraph) -> PredictSession {
-        let tensors = crate::cache::tensors_cached(graph);
-        let program = GnnProgram::compile_predict(self, &tensors);
-        PredictSession { tensors, program }
+    /// Opens a long-lived prediction session for one graph: the whole
+    /// forward pass is compiled onto one reusable tape, so repeated
+    /// predictions are allocation-free replays. This is what keeps a
+    /// resident model (e.g. `af-serve`) cheap per request. Every
+    /// [`GnnProgram::predict`] is bit-identical to [`ThreeDGnn::predict`].
+    pub fn session(&self, graph: &HeteroGraph) -> GnnProgram {
+        GnnProgram::compile_predict(self, &crate::cache::tensors_cached(graph))
     }
 }
 
@@ -912,8 +522,8 @@ enum ProgramMode {
 /// Three seal modes exist (see the constructors): forward-only prediction,
 /// FoM + guidance gradient for the potential relaxation (weight gradients
 /// are statically pruned), and training (guidance-side gradients pruned).
-/// All three match the scalar `af_nn::Graph` oracle bit for bit on default
-/// builds; see the `af_tensor` crate docs for the contract.
+/// All three are checked against the scalar reference engine kept in this
+/// module's tests; see the `af_tensor` crate docs for the contract.
 pub struct GnnProgram {
     tape: Tape,
     bound: TapeGnn,
@@ -1156,6 +766,13 @@ impl GnnProgram {
         self.stats.denormalize(&normalized)
     }
 
+    /// Predicts a batch of guidance vectors. Each element is computed
+    /// independently (identical to calling [`predict`](Self::predict) per
+    /// item), so batching changes throughput, never results.
+    pub fn predict_batch(&mut self, batch: &[Vec<f64>]) -> Vec<[f64; 5]> {
+        batch.iter().map(|c| self.predict(c)).collect()
+    }
+
     /// Forward + backward replay on a FoM program: the weighted FoM of the
     /// normalized prediction and its gradient w.r.t. the guidance vector.
     ///
@@ -1217,35 +834,369 @@ impl GnnProgram {
     }
 }
 
-/// A reusable prediction context: one graph's tensor cache plus a bound
-/// autograd graph, amortized across many [`predict`](Self::predict) calls.
-/// Created by [`ThreeDGnn::session`].
-pub struct PredictSession {
-    tensors: std::sync::Arc<GraphTensors>,
-    program: GnnProgram,
-}
+/// The scalar `af_nn::Graph` reference of the 3DGNN: the eager-graph
+/// train, predict and FoM paths that [`GnnProgram`] replaced, kept verbatim
+/// so the tests can hold the tape to them.
+#[cfg(test)]
+mod oracle {
+    use af_nn::{Adam, BoundMlp, Graph, NodeId};
 
-impl PredictSession {
-    /// Length of the flattened guidance vector the session expects.
-    pub fn guidance_len(&self) -> usize {
-        self.tensors.guidance_len()
+    use super::*;
+
+    struct BoundMessage {
+        src: BoundMlp,
+        rbf: BoundMlp,
+        out: BoundMlp,
     }
 
-    /// Predicts the five (unnormalized) metrics for one guidance vector.
-    /// Bit-identical to [`ThreeDGnn::predict`] on the same graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guidance.len()` mismatches the graph's guided APs × 3.
-    pub fn predict(&mut self, guidance: &[f64]) -> [f64; 5] {
-        self.program.predict(guidance)
+    impl MessageWeights {
+        fn bind(&self, g: &mut Graph, frozen: bool) -> BoundMessage {
+            let b = |m: &Mlp, g: &mut Graph| if frozen { m.bind_frozen(g) } else { m.bind(g) };
+            BoundMessage {
+                src: b(&self.src, g),
+                rbf: b(&self.rbf, g),
+                out: b(&self.out, g),
+            }
+        }
+
+        fn sync(&mut self, g: &Graph, b: &BoundMessage) {
+            self.src.sync_from(g, &b.src);
+            self.rbf.sync_from(g, &b.rbf);
+            self.out.sync_from(g, &b.out);
+        }
+
+        fn params(b: &BoundMessage) -> Vec<NodeId> {
+            let mut p = b.src.params();
+            p.extend(b.rbf.params());
+            p.extend(b.out.params());
+            p
+        }
     }
 
-    /// Predicts a batch of guidance vectors. Each element is computed
-    /// independently (identical to calling [`predict`](Self::predict) per
-    /// item), so batching changes throughput, never results.
-    pub fn predict_batch(&mut self, batch: &[Vec<f64>]) -> Vec<[f64; 5]> {
-        batch.iter().map(|c| self.predict(c)).collect()
+    struct BoundGnn {
+        ap_encoder: BoundMlp,
+        m_encoder: BoundMlp,
+        pp: Vec<BoundMessage>,
+        mp: Vec<BoundMessage>,
+        pm: Vec<BoundMessage>,
+        mm: Vec<BoundMlp>,
+        readout: BoundMlp,
+        head: BoundMlp,
+    }
+
+    impl ThreeDGnn {
+        fn bind(&self, g: &mut Graph, frozen: bool) -> BoundGnn {
+            let b = |m: &Mlp, g: &mut Graph| if frozen { m.bind_frozen(g) } else { m.bind(g) };
+            BoundGnn {
+                ap_encoder: b(&self.ap_encoder, g),
+                m_encoder: b(&self.m_encoder, g),
+                pp: self.pp.iter().map(|w| w.bind(g, frozen)).collect(),
+                mp: self.mp.iter().map(|w| w.bind(g, frozen)).collect(),
+                pm: self.pm.iter().map(|w| w.bind(g, frozen)).collect(),
+                mm: self.mm.iter().map(|m| b(m, g)).collect(),
+                readout: b(&self.readout, g),
+                head: b(&self.head, g),
+            }
+        }
+
+        /// Distance-augmented message pass for one edge type. `rbf_centers` is
+        /// the table hoisted out of the per-layer loop by `forward` (empty when
+        /// RBF features are disabled).
+        #[allow(clippy::too_many_arguments)]
+        fn message_pass(
+            &self,
+            g: &mut Graph,
+            weights: &BoundMessage,
+            h_src: NodeId,
+            src_idx: &[usize],
+            dst_idx: &[usize],
+            deltas: NodeId,
+            c_full: NodeId,
+            n_dst: usize,
+            rbf_centers: &[f64],
+        ) -> NodeId {
+            let v_src = g.gather(h_src, src_idx);
+            // d_cost (Eq. 1): the receiver's guidance scales the per-axis deltas.
+            let c_dst = g.gather(c_full, dst_idx);
+            let scaled = g.mul(c_dst, deltas);
+            let sq = g.square(scaled);
+            let ssum = g.sum_cols(sq);
+            let d = g.sqrt(ssum);
+            let psi = if self.cfg_use_rbf {
+                g.rbf(d, self.cfg_rbf_gamma, rbf_centers)
+            } else {
+                d
+            };
+            // Eq. 5: MLP(MLP(v_src) ⊙ MLP(Ψ(d)))
+            let a = weights.src.forward(g, v_src);
+            let bm = weights.rbf.forward(g, psi);
+            let prod = g.mul(a, bm);
+            let msg = weights.out.forward(g, prod);
+            g.scatter_add(msg, dst_idx, n_dst)
+        }
+
+        /// Full forward pass: returns the `1 × 5` **normalized** prediction.
+        fn forward(
+            &self,
+            g: &mut Graph,
+            bound: &BoundGnn,
+            t: &GraphTensors,
+            c_guided: NodeId,
+        ) -> NodeId {
+            // Assemble the full per-AP guidance: guided rows from the input,
+            // neutral rows elsewhere.
+            let scattered = g.scatter_add(c_guided, &t.guided_idx, t.n_aps);
+            let base = g.input(t.c_base.clone());
+            let c_full = g.add(scattered, base);
+
+            let ap_in = g.input(t.ap_feats.clone());
+            let m_in = g.input(t.m_feats.clone());
+            let mut h_ap = bound.ap_encoder.forward(g, ap_in);
+            let mut h_m = bound.m_encoder.forward(g, m_in);
+
+            let pp_deltas = g.input(t.pp_deltas.clone());
+            let mp_deltas = g.input(t.mp_deltas.clone());
+
+            // Hoisted out of the layer loop: the RBF center table is a pure
+            // function of the model config, so one allocation serves every
+            // message pass of this forward.
+            let rbf_centers = if self.cfg_use_rbf {
+                self.rbf_centers_vec()
+            } else {
+                Vec::new()
+            };
+
+            for l in 0..self.cfg_layers {
+                // E_PP: AP -> AP.
+                if !t.pp_src.is_empty() {
+                    let agg = self.message_pass(
+                        g,
+                        &bound.pp[l],
+                        h_ap,
+                        &t.pp_src,
+                        &t.pp_dst,
+                        pp_deltas,
+                        c_full,
+                        t.n_aps,
+                        &rbf_centers,
+                    );
+                    h_ap = g.add(h_ap, agg);
+                }
+                // E_MP: module -> AP.
+                if self.cfg_use_modules && !t.mp_src_m.is_empty() {
+                    let agg = self.message_pass(
+                        g,
+                        &bound.mp[l],
+                        h_m,
+                        &t.mp_src_m,
+                        &t.mp_dst_a,
+                        mp_deltas,
+                        c_full,
+                        t.n_aps,
+                        &rbf_centers,
+                    );
+                    h_ap = g.add(h_ap, agg);
+                    // E_PM: AP -> module (reverse direction, same deltas/C).
+                    let v_src = g.gather(h_ap, &t.mp_dst_a);
+                    let c_dst = g.gather(c_full, &t.mp_dst_a);
+                    let scaled = g.mul(c_dst, mp_deltas);
+                    let sq = g.square(scaled);
+                    let ssum = g.sum_cols(sq);
+                    let d = g.sqrt(ssum);
+                    let psi = if self.cfg_use_rbf {
+                        g.rbf(d, self.cfg_rbf_gamma, &rbf_centers)
+                    } else {
+                        d
+                    };
+                    let a = bound.pm[l].src.forward(g, v_src);
+                    let bm = bound.pm[l].rbf.forward(g, psi);
+                    let prod = g.mul(a, bm);
+                    let msg = bound.pm[l].out.forward(g, prod);
+                    let agg_m = g.scatter_add(msg, &t.mp_src_m, t.n_modules);
+                    h_m = g.add(h_m, agg_m);
+                }
+                // E_MM: module -> module (logical, no distance term).
+                if self.cfg_use_modules && !t.mm_src.is_empty() {
+                    let v_src = g.gather(h_m, &t.mm_src);
+                    let msg = bound.mm[l].forward(g, v_src);
+                    let agg = g.scatter_add(msg, &t.mm_dst, t.n_modules);
+                    h_m = g.add(h_m, agg);
+                }
+            }
+
+            // Global readout: u = Σ MLP(v) over both node sets (Eq. 4's φ_u),
+            // scaled by 1/N (equivalent up to head weights, but keeps the head's
+            // input O(1) so the guidance-driven modulation is not drowned out).
+            let r_ap = bound.readout.forward(g, h_ap);
+            let r_m = bound.readout.forward(g, h_m);
+            let ones_ap = g.input(Tensor::ones(1, t.n_aps));
+            let ones_m = g.input(Tensor::ones(1, t.n_modules));
+            let sum_ap = g.matmul(ones_ap, r_ap);
+            let sum_m = g.matmul(ones_m, r_m);
+            let u = g.add(sum_ap, sum_m);
+            let u = g.scale(u, 1.0 / (t.n_aps + t.n_modules) as f64);
+            bound.head.forward(g, u)
+        }
+
+        /// The scalar-graph training path, kept verbatim as the bit-exactness
+        /// oracle for [`train`](Self::train).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the dataset is empty or guidance lengths mismatch the graph.
+        pub(super) fn train_oracle(
+            &mut self,
+            graph: &HeteroGraph,
+            dataset: &Dataset,
+            cfg: &GnnConfig,
+        ) -> TrainReport {
+            assert!(!dataset.samples.is_empty(), "empty dataset");
+            let t = GraphTensors::new(graph);
+            assert_eq!(
+                dataset.samples[0].guidance.len(),
+                t.guidance_len(),
+                "guidance length mismatch"
+            );
+            self.stats = TargetStats::fit(dataset);
+
+            let mut g = Graph::new();
+            let bound = self.bind(&mut g, false);
+            let params: Vec<NodeId> = {
+                let mut p = bound.ap_encoder.params();
+                p.extend(bound.m_encoder.params());
+                for w in &bound.pp {
+                    p.extend(MessageWeights::params(w));
+                }
+                for w in &bound.mp {
+                    p.extend(MessageWeights::params(w));
+                }
+                for w in &bound.pm {
+                    p.extend(MessageWeights::params(w));
+                }
+                for m in &bound.mm {
+                    p.extend(m.params());
+                }
+                p.extend(bound.readout.params());
+                p.extend(bound.head.params());
+                p
+            };
+            let mut opt = Adam::new(
+                params,
+                AdamConfig {
+                    lr: cfg.lr,
+                    ..AdamConfig::default()
+                },
+                &g,
+            );
+
+            let _train = af_obs::span!("gnn_train");
+            let mut order: Vec<usize> = (0..dataset.samples.len()).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xdead);
+            let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+            for epoch in 0..cfg.epochs {
+                let _e = af_obs::span!("epoch", epoch);
+                use rand::seq::SliceRandom;
+                order.shuffle(&mut rng);
+                let mut total = 0.0;
+                for &si in &order {
+                    let sample = &dataset.samples[si];
+                    g.reset();
+                    let c = g.input(Tensor::from_vec(
+                        sample.guidance.clone(),
+                        t.guided_idx.len(),
+                        3,
+                    ));
+                    let pred = self.forward(&mut g, &bound, &t, c);
+                    let target = g.input(Tensor::from_vec(
+                        self.stats.normalize(&sample.metrics()).to_vec(),
+                        1,
+                        5,
+                    ));
+                    let loss = g.mse(pred, target);
+                    g.backward(loss);
+                    total += g.value(loss).get(0, 0);
+                    opt.step(&mut g);
+                }
+                epoch_losses.push(total / dataset.samples.len() as f64);
+            }
+            // Persist trained weights.
+            self.ap_encoder.sync_from(&g, &bound.ap_encoder);
+            self.m_encoder.sync_from(&g, &bound.m_encoder);
+            for (w, b) in self.pp.iter_mut().zip(&bound.pp) {
+                w.sync(&g, b);
+            }
+            for (w, b) in self.mp.iter_mut().zip(&bound.mp) {
+                w.sync(&g, b);
+            }
+            for (w, b) in self.pm.iter_mut().zip(&bound.pm) {
+                w.sync(&g, b);
+            }
+            for (w, b) in self.mm.iter_mut().zip(&bound.mm) {
+                w.sync_from(&g, b);
+            }
+            self.readout.sync_from(&g, &bound.readout);
+            self.head.sync_from(&g, &bound.head);
+
+            let final_loss = *epoch_losses.last().expect("at least one epoch");
+            TrainReport {
+                epoch_losses,
+                final_loss,
+            }
+        }
+
+        /// The scalar-graph prediction path, kept verbatim as the bit-exactness
+        /// oracle for [`predict`](Self::predict).
+        ///
+        /// # Panics
+        ///
+        /// Panics if `guidance.len()` mismatches the graph's guided APs × 3.
+        pub(super) fn predict_oracle(&self, graph: &HeteroGraph, guidance: &[f64]) -> [f64; 5] {
+            let t = crate::cache::tensors_cached(graph);
+            assert_eq!(guidance.len(), t.guidance_len(), "guidance length mismatch");
+            let mut g = Graph::new();
+            let bound = self.bind(&mut g, true);
+            let c = g.input(Tensor::from_vec(guidance.to_vec(), t.guided_idx.len(), 3));
+            let pred = self.forward(&mut g, &bound, &t, c);
+            let row = g.value(pred);
+            let normalized = [
+                row.get(0, 0),
+                row.get(0, 1),
+                row.get(0, 2),
+                row.get(0, 3),
+                row.get(0, 4),
+            ];
+            self.stats.denormalize(&normalized)
+        }
+
+        /// The scalar-graph FoM path, kept verbatim as the bit-exactness oracle
+        /// for [`fom_and_grad`](Self::fom_and_grad).
+        pub(super) fn fom_and_grad_oracle(
+            &self,
+            tensors: &GraphTensors,
+            guidance: &[f64],
+            weights: &[f64; 5],
+        ) -> (f64, Vec<f64>) {
+            // The relaxation's hot path: time surrogate evaluations only when
+            // recording is on (the measured wall time never feeds the result).
+            let t0 = af_obs::enabled().then(std::time::Instant::now);
+            let mut g = Graph::new();
+            let c = g.param(Tensor::from_vec(
+                guidance.to_vec(),
+                tensors.guided_idx.len(),
+                3,
+            ));
+            let bound = self.bind(&mut g, true);
+            let pred = self.forward(&mut g, &bound, tensors, c);
+            let w = g.input(Tensor::from_vec(weights.to_vec(), 1, 5));
+            let weighted = g.mul(pred, w);
+            let fom = g.sum(weighted);
+            g.backward(fom);
+            if let Some(t0) = t0 {
+                af_obs::hist("gnn.fom_grad_us", t0.elapsed().as_secs_f64() * 1e6);
+                af_obs::counter("gnn.fom_grad_evals", 1);
+            }
+            (g.value(fom).get(0, 0), g.grad(c).data().to_vec())
+        }
     }
 }
 
@@ -1384,6 +1335,20 @@ mod tests {
         assert_eq!(count, ThreeDGnn::new(&cfg).param_count());
     }
 
+    /// Deterministic guidance probes inside the box bounds (no RNG: the
+    /// same points are fed to both engines).
+    fn guidance_probes(n: usize, dim: usize, lo: f64, hi: f64) -> Vec<Vec<f64>> {
+        let mid = 0.5 * (lo + hi);
+        let amp = 0.4 * (hi - lo);
+        (0..n)
+            .map(|j| {
+                (0..dim)
+                    .map(|i| mid + amp * ((1 + i + j * dim) as f64).sin())
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn fast_path_matches_oracle() {
         // Tolerances per the af-tensor parity contract: single evaluations
@@ -1409,26 +1374,36 @@ mod tests {
         let mut fast = ThreeDGnn::new(&cfg);
         let mut oracle = ThreeDGnn::new(&cfg);
 
-        // Stage 1: untrained forward parity.
+        // Stage 1: untrained forward and guidance-gradient (backward to C)
+        // parity, on a uniform guidance plus four OTA1-A probes. Each probe
+        // goes through the one-shot entry points and through one replayed
+        // program per mode, so replay over changing inputs is held to the
+        // same bound.
         let t = GraphTensors::new(&graph);
-        let c = vec![0.9; t.guidance_len()];
-        let p_fast = fast.predict(&graph, &c);
-        let p_oracle = fast.predict_oracle(&graph, &c);
-        for (a, b) in p_fast.iter().zip(&p_oracle) {
-            close(*a, *b, 1e-9, "untrained prediction");
-        }
-
-        // Stage 2: untrained guidance-gradient parity (backward to C).
         let w = [1.0, -1.0, -1.0, -1.0, 1.0];
-        let (f1, g1) = fast.fom_and_grad(&t, &c, &w);
-        let (f2, g2) = fast.fom_and_grad_oracle(&t, &c, &w);
-        close(f1, f2, 1e-9, "FoM");
-        assert_eq!(g1.len(), g2.len());
-        for (a, b) in g1.iter().zip(&g2) {
-            close(*a, *b, 1e-9, "guidance gradient");
+        let c = vec![0.9; t.guidance_len()];
+        let mut probes = vec![c.clone()];
+        probes.extend(guidance_probes(4, t.guidance_len(), cfg.c_min, cfg.c_max));
+        let mut predictor = GnnProgram::compile_predict(&fast, &t);
+        let mut fom = GnnProgram::compile_fom(&fast, &t, &w);
+        for probe in &probes {
+            let p_oracle = fast.predict_oracle(&graph, probe);
+            for p_fast in [fast.predict(&graph, probe), predictor.predict(probe)] {
+                for (a, b) in p_fast.iter().zip(&p_oracle) {
+                    close(*a, *b, 1e-9, "untrained prediction");
+                }
+            }
+            let (f2, g2) = fast.fom_and_grad_oracle(&t, probe, &w);
+            for (f1, g1) in [fast.fom_and_grad(&t, probe, &w), fom.fom_and_grad(probe)] {
+                close(f1, f2, 1e-9, "FoM");
+                assert_eq!(g1.len(), g2.len());
+                for (a, b) in g1.iter().zip(&g2) {
+                    close(*a, *b, 1e-9, "guidance gradient");
+                }
+            }
         }
 
-        // Stage 3: full training parity (weight gradients + Adam).
+        // Stage 2: full training parity (weight gradients + Adam).
         let r_fast = fast.train(&graph, &data, &cfg);
         let r_oracle = oracle.train_oracle(&graph, &data, &cfg);
         for (a, b) in r_fast.epoch_losses.iter().zip(&r_oracle.epoch_losses) {

@@ -74,7 +74,7 @@ pub use flow::{
     ObsSinkHandle, RuntimeBreakdown,
 };
 pub use genius::{GeniusConfig, GeniusRouteModel, NetClass};
-pub use gnn::{GnnConfig, GnnProgram, GraphTensors, PredictSession, ThreeDGnn, TrainReport};
+pub use gnn::{GnnConfig, GnnProgram, GraphTensors, ThreeDGnn, TrainReport};
 pub use hetero::{ApNode, EdgeKind, HeteroGraph, ModuleNode};
-pub use persist::{PersistError, ShardStore};
+pub use persist::{write_durable, PersistError, ShardStore};
 pub use potential::{relax, relax_seeded, Potential, PotentialEval, RelaxConfig, RelaxOutcome};

@@ -1,8 +1,8 @@
 //! Model persistence: save/load trained models and datasets as JSON.
 //!
 //! A trained [`ThreeDGnn`] (weights + normalization statistics) and a
-//! [`GeniusRouteModel`] are plain serde structures; these helpers give them
-//! a stable on-disk workflow so the expensive training step can be amortized
+//! [`Dataset`] are plain serde structures; these helpers give them a stable
+//! on-disk workflow so the expensive training step can be amortized
 //! across runs — the same way the paper amortizes its 2 000-sample database.
 
 use std::fs;
@@ -12,7 +12,6 @@ use serde::de::DeserializeOwned;
 use serde::{Serialize, Value};
 
 use crate::dataset::Dataset;
-use crate::genius::GeniusRouteModel;
 use crate::gnn::ThreeDGnn;
 
 /// Format tag in the versioned [`ThreeDGnn`] file header.
@@ -128,8 +127,19 @@ pub struct ShardStore {
 }
 
 /// Writes `bytes` to `final_path` with the durable-rename discipline
-/// documented on [`ShardStore`].
-fn write_durable(dir: &Path, tmp: &Path, final_path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// documented on [`ShardStore`]: write `tmp` and fsync it, rename it over
+/// `final_path`, then fsync `dir` so the rename itself survives a crash.
+///
+/// # Errors
+///
+/// Any filesystem failure. A failure before the rename leaves `final_path`
+/// as it was.
+pub fn write_durable(
+    dir: &Path,
+    tmp: &Path,
+    final_path: &Path,
+    bytes: &[u8],
+) -> std::io::Result<()> {
     use std::io::Write;
     fs::create_dir_all(dir)?;
     let mut f = fs::File::create(tmp)?;
@@ -409,26 +419,6 @@ impl ThreeDGnn {
             }
         }
         Ok(model)
-    }
-}
-
-impl GeniusRouteModel {
-    /// Saves the model as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem or serialization failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        save(self, path.as_ref())
-    }
-
-    /// Loads a model saved with [`GeniusRouteModel::save`].
-    ///
-    /// # Errors
-    ///
-    /// Filesystem or deserialization failures.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        load(path.as_ref())
     }
 }
 

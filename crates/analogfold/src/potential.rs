@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use af_nn::lbfgs_minimize;
 
-use crate::gnn::{GraphTensors, ThreeDGnn};
+use crate::gnn::{GnnProgram, GraphTensors, ThreeDGnn};
 use crate::hetero::HeteroGraph;
 
 /// The potential function `V(C)`.
@@ -92,41 +92,21 @@ impl<'a> Potential<'a> {
     /// Outside the feasible region the barrier returns `+∞` with a gradient
     /// pointing back inside.
     ///
-    /// Each call compiles a fresh surrogate program; the relaxation loops use
-    /// [`evaluator`](Self::evaluator), which compiles once and replays the
-    /// same tape for every L-BFGS iteration. Results are bit-identical.
+    /// Each call compiles a fresh surrogate program; the relaxation loops
+    /// hold one [`evaluator`](Self::evaluator), which compiles once and
+    /// replays the same tape for every L-BFGS iteration.
     pub fn value_and_grad(&self, c: &[f64]) -> (f64, Vec<f64>) {
-        // Chaos hook: inject a non-finite evaluation *before* the memo so a
-        // poisoned value can never be cached. Disarmed cost is one relaxed
-        // atomic load — this is the relaxation hot path.
-        if af_fault::enabled() && af_fault::should_fail("relax.value_grad").is_some() {
-            return (f64::NAN, vec![0.0; c.len()]);
-        }
-        // The surrogate term is a pure function of (weights, C); the barrier
-        // is recomputed (cheap) so the memo stores exactly one tier of the
-        // sum and `barrier_r` can change without invalidation.
-        let (fom, grad) = match &self.memo {
-            Some(memo) if crate::cache::cache_enabled() => {
-                let key = crate::cache::FomMemo::key(&self.weights, c);
-                memo.get_or_compute(key, || {
-                    self.gnn.fom_and_grad(&self.tensors, c, &self.weights)
-                })
-            }
-            _ => self.gnn.fom_and_grad(&self.tensors, c, &self.weights),
-        };
-        self.apply_barrier(fom, grad, c)
+        self.evaluator().value_and_grad(c)
     }
 
     /// Builds a reusable evaluator: the surrogate forward+backward program is
     /// compiled once, and every subsequent [`PotentialEval::value_and_grad`]
     /// call replays the same tape in place — no per-iteration allocation or
-    /// graph construction. Bit-identical to [`value_and_grad`](Self::value_and_grad).
+    /// graph construction.
     pub fn evaluator(&self) -> PotentialEval<'_, 'a> {
-        let program = (!crate::gnn::oracle_forced())
-            .then(|| crate::gnn::GnnProgram::compile_fom(self.gnn, &self.tensors, &self.weights));
         PotentialEval {
             potential: self,
-            program,
+            program: GnnProgram::compile_fom(self.gnn, &self.tensors, &self.weights),
         }
     }
 
@@ -159,35 +139,32 @@ impl<'a> Potential<'a> {
 /// Built by [`Potential::evaluator`]. The forward+backward tape is recorded
 /// once; every [`value_and_grad`](Self::value_and_grad) call replays it over
 /// the same buffers, which is what makes the L-BFGS inner loop of
-/// [`relax_seeded`] allocation-free per iteration. Evaluations are
-/// bit-identical to [`Potential::value_and_grad`]: the same failpoint, memo,
-/// surrogate kernels, and barrier run in the same order.
+/// [`relax_seeded`] allocation-free per iteration.
 pub struct PotentialEval<'p, 'a> {
     potential: &'p Potential<'a>,
-    /// `None` when `AF_GNN_ORACLE` forces the scalar path.
-    program: Option<crate::gnn::GnnProgram>,
+    program: GnnProgram,
 }
 
 impl PotentialEval<'_, '_> {
     /// Evaluates `V(C)` and `∇V(C)` by replaying the compiled tape.
     pub fn value_and_grad(&mut self, c: &[f64]) -> (f64, Vec<f64>) {
+        // Chaos hook: inject a non-finite evaluation *before* the memo so a
+        // poisoned value can never be cached. Disarmed cost is one relaxed
+        // atomic load — this is the relaxation hot path.
         if af_fault::enabled() && af_fault::should_fail("relax.value_grad").is_some() {
             return (f64::NAN, vec![0.0; c.len()]);
         }
         let pot = self.potential;
         let program = &mut self.program;
+        // The surrogate term is a pure function of (weights, C); the barrier
+        // is recomputed (cheap) so the memo stores exactly one tier of the
+        // sum and `barrier_r` can change without invalidation.
         let (fom, grad) = match &pot.memo {
             Some(memo) if crate::cache::cache_enabled() => {
                 let key = crate::cache::FomMemo::key(&pot.weights, c);
-                memo.get_or_compute(key, || match program {
-                    Some(p) => p.fom_and_grad(c),
-                    None => pot.gnn.fom_and_grad(&pot.tensors, c, &pot.weights),
-                })
+                memo.get_or_compute(key, || program.fom_and_grad(c))
             }
-            _ => match program {
-                Some(p) => p.fom_and_grad(c),
-                None => pot.gnn.fom_and_grad(&pot.tensors, c, &pot.weights),
-            },
+            _ => program.fom_and_grad(c),
         };
         pot.apply_barrier(fom, grad, c)
     }

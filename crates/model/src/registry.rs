@@ -31,7 +31,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use analogfold::{content_hash_of, PersistError, ThreeDGnn};
+use analogfold::{content_hash_of, write_durable, PersistError, ThreeDGnn};
 use serde::{Deserialize, Serialize};
 
 /// Manifest file name inside the registry directory.
@@ -181,25 +181,6 @@ pub struct ModelRegistry {
     promote_log: Vec<String>,
     current: Option<String>,
     next_seq: u64,
-}
-
-/// Writes `bytes` to `final_path` with the durable-rename discipline
-/// (mirrors `analogfold`'s shard writes; that helper is crate-private).
-pub(crate) fn write_durable(
-    dir: &Path,
-    tmp: &Path,
-    final_path: &Path,
-    bytes: &[u8],
-) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let mut f = fs::File::create(tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(tmp, final_path)?;
-    #[cfg(unix)]
-    fs::File::open(dir)?.sync_all()?;
-    Ok(())
 }
 
 impl ModelRegistry {

@@ -33,12 +33,12 @@ use af_place::{place, PlacementVariant};
 use af_sim::Performance;
 use af_tech::Technology;
 use analogfold::{
-    content_hash_of, holdout_mse, Dataset, GnnConfig, HeteroGraph, PersistError, Sample,
-    SampleRecord, ShardStore, ThreeDGnn,
+    content_hash_of, holdout_mse, write_durable, Dataset, GnnConfig, HeteroGraph, PersistError,
+    Sample, SampleRecord, ShardStore, ThreeDGnn,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::registry::{write_durable, Lineage, ModelRegistry, RegistryError};
+use crate::registry::{Lineage, ModelRegistry, RegistryError};
 
 /// Trainer failure.
 #[derive(Debug)]

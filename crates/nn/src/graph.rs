@@ -1,4 +1,5 @@
-//! Eager tape-based reverse-mode automatic differentiation.
+//! Eager tape-based reverse-mode automatic differentiation: the scalar
+//! reference engine the `af_tensor` tape is tested against.
 //!
 //! Values are computed as ops are recorded; [`Graph::backward`] walks the
 //! tape in reverse accumulating gradients. Leaves created with
@@ -38,8 +39,6 @@ enum Op {
     Sigmoid(NodeId),
     /// Natural exponent.
     Exp(NodeId),
-    /// Natural log (inputs must stay positive).
-    Log(NodeId),
     /// Elementwise square.
     Square(NodeId),
     /// Elementwise square root (clamped at `eps` for stability).
@@ -54,15 +53,9 @@ enum Op {
     /// count is kept for debugging/Display even though backward re-derives
     /// shapes from the input node.
     ScatterAdd(NodeId, Vec<usize>, #[allow(dead_code)] usize),
-    /// Column concatenation.
-    ConcatCols(NodeId, NodeId),
     /// Radial-basis expansion of an `m × 1` input into `m × K`:
     /// `ψ_k(d) = exp(-γ (d - μ_k)²)`.
     Rbf(NodeId, f64, Vec<f64>),
-    /// 3×3 same-padding convolution over `h × w` feature maps stored as
-    /// `[channels, h*w]` rows: `(input, kernel, h, w)`. The kernel tensor is
-    /// `[out_channels, in_channels*9]`.
-    Conv3x3(NodeId, NodeId, usize, usize),
 }
 
 struct Node {
@@ -261,12 +254,6 @@ impl Graph {
         self.op(Op::Exp(x), v)
     }
 
-    /// Elementwise natural log. Inputs are clamped at `1e-12`.
-    pub fn log(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).map(|a| a.max(1e-12).ln());
-        self.op(Op::Log(x), v)
-    }
-
     /// Elementwise square.
     pub fn square(&mut self, x: NodeId) -> NodeId {
         let v = self.value(x).map(|a| a * a);
@@ -332,25 +319,6 @@ impl Graph {
         self.op(Op::ScatterAdd(x, idx.to_vec(), out_rows), out)
     }
 
-    /// Concatenates columns of two tensors with equal row counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row-count mismatch.
-    pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ta, tb) = (self.value(a), self.value(b));
-        let (m, n1) = ta.shape();
-        let (m2, n2) = tb.shape();
-        assert_eq!(m, m2, "concat_cols row mismatch");
-        let mut data = Vec::with_capacity(m * (n1 + n2));
-        for r in 0..m {
-            data.extend_from_slice(ta.row(r));
-            data.extend_from_slice(tb.row(r));
-        }
-        let v = Tensor::from_vec(data, m, n1 + n2);
-        self.op(Op::ConcatCols(a, b), v)
-    }
-
     /// Radial-basis expansion `ψ_k(d) = exp(-γ (d - μ_k)²)` of an `m × 1`
     /// input into `m × K` (SchNet-style distance featurization).
     ///
@@ -371,48 +339,6 @@ impl Graph {
         }
         let v = Tensor::from_vec(data, m, mus.len());
         self.op(Op::Rbf(x, gamma, mus.to_vec()), v)
-    }
-
-    /// 3×3 same-padding (zero-pad) convolution.
-    ///
-    /// `x` holds `in_channels` rows of flattened `h × w` maps; `kernel` is
-    /// `[out_channels, in_channels*9]` (row = output channel, columns grouped
-    /// per input channel in row-major 3×3 order). Returns
-    /// `[out_channels, h*w]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn conv3x3(&mut self, x: NodeId, kernel: NodeId, h: usize, w: usize) -> NodeId {
-        let (in_ch, hw) = self.value(x).shape();
-        assert_eq!(hw, h * w, "input rows must be flattened h*w maps");
-        let (out_ch, kw) = self.value(kernel).shape();
-        assert_eq!(kw, in_ch * 9, "kernel must be [out_ch, in_ch*9]");
-        let mut out = Tensor::zeros(out_ch, hw);
-        let xin = self.value(x).clone();
-        let k = self.value(kernel).clone();
-        for o in 0..out_ch {
-            for y in 0..h {
-                for xx in 0..w {
-                    let mut acc = 0.0;
-                    for i in 0..in_ch {
-                        for ky in 0..3usize {
-                            for kx in 0..3usize {
-                                let sy = y as i64 + ky as i64 - 1;
-                                let sx = xx as i64 + kx as i64 - 1;
-                                if sy < 0 || sx < 0 || sy >= h as i64 || sx >= w as i64 {
-                                    continue;
-                                }
-                                acc += xin.get(i, sy as usize * w + sx as usize)
-                                    * k.get(o, i * 9 + ky * 3 + kx);
-                            }
-                        }
-                    }
-                    out.set(o, y * w + xx, acc);
-                }
-            }
-        }
-        self.op(Op::Conv3x3(x, kernel, h, w), out)
     }
 
     /// Mean-squared-error loss between `x` and `target` (`1 × 1` output).
@@ -505,10 +431,6 @@ impl Graph {
                     let g = grad.zip(&self.nodes[i].value, |g, y| g * y);
                     self.accumulate(x, g);
                 }
-                Op::Log(x) => {
-                    let g = grad.zip(&self.nodes[x.0].value, |g, v| g / v.max(1e-12));
-                    self.accumulate(x, g);
-                }
                 Op::Square(x) => {
                     let g = grad.zip(&self.nodes[x.0].value, |g, v| 2.0 * g * v);
                     self.accumulate(x, g);
@@ -552,60 +474,6 @@ impl Graph {
                         }
                     }
                     self.accumulate(x, g);
-                }
-                Op::ConcatCols(a, b) => {
-                    let (m, n1) = self.nodes[a.0].value.shape();
-                    let (_, n2) = self.nodes[b.0].value.shape();
-                    let mut ga = Tensor::zeros(m, n1);
-                    let mut gb = Tensor::zeros(m, n2);
-                    for r in 0..m {
-                        for c in 0..n1 {
-                            ga.set(r, c, grad.get(r, c));
-                        }
-                        for c in 0..n2 {
-                            gb.set(r, c, grad.get(r, n1 + c));
-                        }
-                    }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
-                }
-                Op::Conv3x3(x, kernel, h, w) => {
-                    let (in_ch, hw) = self.nodes[x.0].value.shape();
-                    let (out_ch, _) = self.nodes[kernel.0].value.shape();
-                    let xin = self.nodes[x.0].value.clone();
-                    let k = self.nodes[kernel.0].value.clone();
-                    let mut gx = Tensor::zeros(in_ch, hw);
-                    let mut gk = Tensor::zeros(out_ch, in_ch * 9);
-                    for o in 0..out_ch {
-                        for y in 0..h {
-                            for xx in 0..w {
-                                let go = grad.get(o, y * w + xx);
-                                if go == 0.0 {
-                                    continue;
-                                }
-                                for i2 in 0..in_ch {
-                                    for ky in 0..3usize {
-                                        for kx in 0..3usize {
-                                            let sy = y as i64 + ky as i64 - 1;
-                                            let sx = xx as i64 + kx as i64 - 1;
-                                            if sy < 0 || sx < 0 || sy >= h as i64 || sx >= w as i64
-                                            {
-                                                continue;
-                                            }
-                                            let si = sy as usize * w + sx as usize;
-                                            let kc = i2 * 9 + ky * 3 + kx;
-                                            let v = gx.get(i2, si) + go * k.get(o, kc);
-                                            gx.set(i2, si, v);
-                                            let v = gk.get(o, kc) + go * xin.get(i2, si);
-                                            gk.set(o, kc, v);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    self.accumulate(x, gx);
-                    self.accumulate(kernel, gk);
                 }
                 Op::Rbf(x, gamma, mus) => {
                     let (m, _) = self.nodes[x.0].value.shape();
@@ -730,13 +598,11 @@ mod tests {
     }
 
     #[test]
-    fn grad_log_sqrt() {
+    fn grad_sqrt() {
         check_grad(
             |g, x| {
-                let l = g.log(x);
                 let s = g.sqrt(x);
-                let both = g.add(l, s);
-                g.sum(both)
+                g.sum(s)
             },
             vec![0.5, 1.5, 3.0],
             1,
@@ -790,12 +656,11 @@ mod tests {
     }
 
     #[test]
-    fn grad_concat_sumcols() {
+    fn grad_scale_sumcols() {
         check_grad(
             |g, x| {
                 let y = g.scale(x, 2.0);
-                let cat = g.concat_cols(x, y);
-                let sc = g.sum_cols(cat);
+                let sc = g.sum_cols(y);
                 let sq = g.square(sc);
                 g.sum(sq)
             },
@@ -874,119 +739,6 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros(2, 2));
         let _ = g.rbf(x, 1.0, &[0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "concat_cols row mismatch")]
-    fn concat_rejects_row_mismatch() {
-        let mut g = Graph::new();
-        let a = g.input(Tensor::zeros(2, 2));
-        let b = g.input(Tensor::zeros(3, 2));
-        let _ = g.concat_cols(a, b);
-    }
-
-    #[test]
-    fn log_clamps_non_positive_inputs() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(vec![-1.0, 0.0, 1.0], 1, 3));
-        let y = g.log(x);
-        let v = g.value(y);
-        assert!(v.get(0, 0).is_finite());
-        assert!(v.get(0, 1).is_finite());
-        assert_eq!(v.get(0, 2), 0.0);
-    }
-
-    #[test]
-    fn conv3x3_identity_kernel() {
-        // a kernel with 1 at the center reproduces the input
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec((0..12).map(f64::from).collect(), 1, 12));
-        let mut k = vec![0.0; 9];
-        k[4] = 1.0;
-        let kernel = g.input(Tensor::from_vec(k, 1, 9));
-        let y = g.conv3x3(x, kernel, 3, 4);
-        assert_eq!(g.value(y).data(), g.value(x).data());
-    }
-
-    #[test]
-    fn conv3x3_shift_kernel_pads_with_zero() {
-        // kernel selecting the left neighbor: output col 0 becomes 0
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], 1, 4));
-        let mut k = vec![0.0; 9];
-        k[3] = 1.0; // (ky=1, kx=0) -> left neighbor
-        let kernel = g.input(Tensor::from_vec(k, 1, 9));
-        let y = g.conv3x3(x, kernel, 1, 4);
-        assert_eq!(g.value(y).data(), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn grad_conv3x3() {
-        check_grad(
-            |g, x| {
-                let kernel = g.input(Tensor::from_vec(
-                    vec![0.2, -0.1, 0.3, 0.5, 1.0, -0.4, 0.1, 0.0, -0.2],
-                    1,
-                    9,
-                ));
-                let y = g.conv3x3(x, kernel, 2, 3);
-                let sq = g.square(y);
-                g.sum(sq)
-            },
-            vec![0.5, -1.0, 2.0, 0.3, -0.7, 1.1],
-            1,
-            6,
-        );
-    }
-
-    #[test]
-    fn grad_conv3x3_kernel_and_multichannel() {
-        // gradient wrt the kernel with 2 input channels and 2 output channels
-        let mut g = Graph::new();
-        let kernel = g.param(Tensor::from_vec(
-            (0..36).map(|i| (i as f64 - 18.0) / 20.0).collect(),
-            2,
-            18,
-        ));
-        let x = g.input(Tensor::from_vec(
-            (0..8).map(|i| i as f64 / 4.0).collect(),
-            2,
-            4,
-        ));
-        let y = g.conv3x3(x, kernel, 2, 2);
-        assert_eq!(g.value(y).shape(), (2, 4));
-        let sq = g.square(y);
-        let loss = g.sum(sq);
-        g.backward(loss);
-        let analytic = g.grad(kernel).clone();
-        // numeric check on a few kernel entries
-        let base: Vec<f64> = g.value(kernel).data().to_vec();
-        let eval = |kv: Vec<f64>| {
-            let mut g2 = Graph::new();
-            let k2 = g2.param(Tensor::from_vec(kv, 2, 18));
-            let x2 = g2.input(Tensor::from_vec(
-                (0..8).map(|i| i as f64 / 4.0).collect(),
-                2,
-                4,
-            ));
-            let y2 = g2.conv3x3(x2, k2, 2, 2);
-            let sq2 = g2.square(y2);
-            let l2 = g2.sum(sq2);
-            g2.value(l2).get(0, 0)
-        };
-        let eps = 1e-6;
-        for idx in [0usize, 7, 18, 35] {
-            let mut plus = base.clone();
-            plus[idx] += eps;
-            let mut minus = base.clone();
-            minus[idx] -= eps;
-            let numeric = (eval(plus) - eval(minus)) / (2.0 * eps);
-            let a = analytic.data()[idx];
-            assert!(
-                (a - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),
-                "kernel grad[{idx}]: {a} vs {numeric}"
-            );
-        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Parameterized layers: [`Linear`] and [`Mlp`].
 //!
-//! Layers own their weight tensors; before use they must be *bound* to a
-//! [`Graph`] with [`Linear::bind`] / [`Mlp::bind`], which registers the
-//! weights as persistent parameters and returns a bound handle usable inside
-//! forward passes. After training, [`Linear::sync_from`] copies the updated
-//! values back into the layer for serialization.
+//! Layers own their weight tensors; before use they must be *bound* to an
+//! `af_tensor` [`Tape`] with [`Linear::bind_tape`] / [`Mlp::bind_tape`],
+//! which declares the weights as leaves and returns a bound handle usable
+//! inside forward passes. After training, [`Linear::sync_from_tape`] copies
+//! the updated values back into the layer for serialization. The
+//! [`Graph`] bindings ([`Linear::bind`], [`Linear::bind_frozen`],
+//! [`Linear::sync_from`]) serve the scalar reference engine in tests.
 
 use af_tensor::{Act, Tape, Var};
 use rand_chacha::ChaCha8Rng;

@@ -5,18 +5,22 @@
 //! required subset from scratch:
 //!
 //! * [`Tensor`] — dense row-major 2-D tensors,
-//! * [`Graph`] — an eager, tape-based reverse-mode autodiff graph with the op
-//!   set a SchNet-style GNN needs (matmul, elementwise ops, gather /
-//!   scatter-add for message passing, RBF expansion, log terms for the
-//!   interior-point barrier),
 //! * [`Linear`] / [`Mlp`] — parameterized layers with seeded Xavier init,
-//! * [`Adam`], [`Sgd`] and [`lbfgs_minimize`] — training and relaxation
+//!   bound onto an `af_tensor` [`Tape`](af_tensor::Tape) with `bind_tape`,
+//! * [`TapeAdam`] and [`lbfgs_minimize`] — training and relaxation
 //!   optimizers (the paper relaxes routing guidance with L-BFGS),
-//! * [`Vae`] — the small VAE used to reproduce the GeniusRoute baseline.
+//! * [`Vae`] — the small VAE used to reproduce the GeniusRoute baseline,
+//!   trained and evaluated on the tape.
 //!
-//! Gradients flow to *any* leaf declared with [`Graph::param`], which is what
-//! lets AnalogFold run gradient descent on its guidance inputs rather than on
-//! weights only.
+//! The `af_tensor` tape is the only autograd engine production code runs
+//! on. [`Graph`] — an eager reverse-mode autodiff graph — together with the
+//! Graph-bound layers ([`Linear::bind`], [`Mlp::bind_frozen`], …) and
+//! [`Adam`] is the scalar reference the tape is tested against, op for op
+//! and model for model.
+//!
+//! Gradients flow to *any* leaf declared with [`Graph::param`] (or listed
+//! in `Tape::seal`), which is what lets AnalogFold run gradient descent on
+//! its guidance inputs rather than on weights only.
 //!
 //! # Examples
 //!
@@ -45,11 +49,9 @@ mod layers;
 mod optim;
 mod tensor;
 mod vae;
-mod vae_conv;
 
 pub use graph::{Graph, NodeId};
 pub use layers::{Activation, BoundLinear, BoundMlp, Linear, Mlp, TapeLinear, TapeMlp};
-pub use optim::{lbfgs_minimize, Adam, AdamConfig, LbfgsResult, Sgd, TapeAdam};
+pub use optim::{lbfgs_minimize, Adam, AdamConfig, LbfgsResult, TapeAdam};
 pub use tensor::Tensor;
 pub use vae::{Vae, VaeConfig};
-pub use vae_conv::{ConvVae, ConvVaeConfig};

@@ -1,5 +1,6 @@
-//! Optimizers: [`Adam`], [`Sgd`], and a standalone [`lbfgs_minimize`] used by
-//! the potential-relaxation stage.
+//! Optimizers: [`Adam`] over a [`Graph`], [`TapeAdam`] over an `af_tensor`
+//! tape, and a standalone [`lbfgs_minimize`] used by the potential-relaxation
+//! stage.
 
 use crate::{Graph, NodeId, Tensor};
 
@@ -142,33 +143,6 @@ impl TapeAdam {
                 let mhat = mi / b1t;
                 let vhat = vi / b2t;
                 *x -= self.cfg.lr * mhat / (vhat.sqrt() + self.cfg.eps);
-            }
-        }
-    }
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f64,
-    params: Vec<NodeId>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with learning rate `lr`.
-    pub fn new(params: Vec<NodeId>, lr: f64) -> Self {
-        Self { lr, params }
-    }
-
-    /// Applies one descent step using stored gradients.
-    pub fn step(&mut self, graph: &mut Graph) {
-        for &p in &self.params {
-            let Some(grad) = graph.try_grad(p).cloned() else {
-                continue;
-            };
-            let data = graph.param_data_mut(p);
-            for (x, g) in data.data_mut().iter_mut().zip(grad.data()) {
-                *x -= self.lr * g;
             }
         }
     }
@@ -342,21 +316,6 @@ mod tests {
             opt.step(&mut g);
         }
         assert!(g.value(x).norm() < 1e-2);
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut g = Graph::new();
-        let x = g.param(Tensor::from_vec(vec![2.0], 1, 1));
-        let mut opt = Sgd::new(vec![x], 0.1);
-        for _ in 0..100 {
-            g.reset();
-            let sq = g.square(x);
-            let loss = g.sum(sq);
-            g.backward(loss);
-            opt.step(&mut g);
-        }
-        assert!(g.value(x).get(0, 0).abs() < 1e-3);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! baseline (Zhu et al., ICCAD'19), which guides routing with 2-D probability
 //! maps decoded from a latent space trained on existing routed patterns.
 
+use af_tensor::{Act, Tape, Var};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, Adam, AdamConfig, Graph, Mlp, Tensor};
+use crate::{Activation, AdamConfig, Mlp, TapeAdam, Tensor};
 
 /// VAE hyper-parameters.
 #[derive(Debug, Clone)]
@@ -99,6 +100,9 @@ impl Vae {
     /// Trains on `1 × input_dim` samples for `epochs` full passes; returns
     /// the per-epoch mean loss.
     ///
+    /// The loss program is compiled onto one tape and replayed per sample;
+    /// each step draws the reparameterization noise into an input leaf.
+    ///
     /// # Panics
     ///
     /// Panics if a sample has the wrong shape or `data` is empty.
@@ -108,65 +112,68 @@ impl Vae {
             assert_eq!(d.shape(), (1, self.cfg_input_dim), "bad sample shape");
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5eed);
-        let mut g = Graph::new();
-        let enc = self.encoder.bind(&mut g);
-        let mu_h = self.mu_head.bind(&mut g);
-        let lv_h = self.logvar_head.bind(&mut g);
-        let dec = self.decoder.bind(&mut g);
-        let params: Vec<_> = enc
+        let mut t = Tape::new();
+        let x = t.input(1, self.cfg_input_dim);
+        let eps = t.input(1, self.cfg_latent);
+        let enc = self.encoder.bind_tape(&mut t);
+        let mu_h = self.mu_head.bind_tape(&mut t);
+        let lv_h = self.logvar_head.bind_tape(&mut t);
+        let dec = self.decoder.bind_tape(&mut t);
+        let h = enc.forward(&mut t, x);
+        let h = t.activation(h, Act::Silu);
+        let mu = mu_h.forward(&mut t, h);
+        let logvar = lv_h.forward(&mut t, h);
+        // z = mu + eps * exp(0.5 logvar)
+        let half_lv = t.scale(logvar, 0.5);
+        let std = t.exp(half_lv);
+        let noise = t.mul(eps, std);
+        let z = t.add(mu, noise);
+        let logits = dec.forward(&mut t, z);
+        let recon = t.activation(logits, Act::Sigmoid);
+        let rec_loss = t.mse(recon, x);
+        // KL(q || N(0,1)) = -0.5 Σ (1 + logvar - mu² - exp(logvar))
+        let mu2 = t.square(mu);
+        let elv = t.exp(logvar);
+        let inner = t.sub(logvar, mu2);
+        let inner = t.sub(inner, elv);
+        let ssum = t.sum(inner);
+        let kl_core = t.scale(ssum, -0.5);
+        let kl = t.scale(kl_core, self.beta);
+        let loss = t.add(rec_loss, kl);
+        let params: Vec<Var> = enc
             .params()
             .into_iter()
             .chain(mu_h.params())
             .chain(lv_h.params())
             .chain(dec.params())
             .collect();
-        let mut opt = Adam::new(
+        t.seal(Some(loss), &params);
+        let mut opt = TapeAdam::new(
             params,
             AdamConfig {
                 lr: self.lr,
                 ..AdamConfig::default()
             },
-            &g,
+            &t,
         );
+        let latent_bias = -0.5 * self.cfg_latent as f64;
         let mut losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut epoch_loss = 0.0;
             for sample in data {
-                g.reset();
-                let x = g.input(sample.clone());
-                let h = enc.forward(&mut g, x);
-                let h = Activation::Silu.apply(&mut g, h);
-                let mu = mu_h.forward(&mut g, h);
-                let logvar = lv_h.forward(&mut g, h);
-                // z = mu + eps * exp(0.5 logvar)
-                let eps = g.input(Tensor::randn(1, self.cfg_latent, &mut rng));
-                let half_lv = g.scale(logvar, 0.5);
-                let std = g.exp(half_lv);
-                let noise = g.mul(eps, std);
-                let z = g.add(mu, noise);
-                let logits = dec.forward(&mut g, z);
-                let recon = g.sigmoid(logits);
-                let rec_loss = g.mse(recon, x);
-                // KL(q || N(0,1)) = -0.5 Σ (1 + logvar - mu² - exp(logvar))
-                let mu2 = g.square(mu);
-                let elv = g.exp(logvar);
-                let inner = g.sub(logvar, mu2);
-                let inner = g.sub(inner, elv);
-                let ssum = g.sum(inner);
-                let kl_core = g.scale(ssum, -0.5);
-                let latent_bias = -0.5 * self.cfg_latent as f64;
-                let kl = g.scale(kl_core, self.beta);
-                let loss = g.add(rec_loss, kl);
-                g.backward(loss);
-                opt.step(&mut g);
-                epoch_loss += g.value(loss).get(0, 0) + self.beta * latent_bias;
+                t.set_value(x, sample.data());
+                t.set_value(eps, Tensor::randn(1, self.cfg_latent, &mut rng).data());
+                t.forward();
+                t.backward();
+                epoch_loss += t.value(loss)[0] + self.beta * latent_bias;
+                opt.step(&mut t);
             }
             losses.push(epoch_loss / data.len() as f64);
         }
-        self.encoder.sync_from(&g, &enc);
-        self.mu_head.sync_from(&g, &mu_h);
-        self.logvar_head.sync_from(&g, &lv_h);
-        self.decoder.sync_from(&g, &dec);
+        self.encoder.sync_from_tape(&t, &enc);
+        self.mu_head.sync_from_tape(&t, &mu_h);
+        self.logvar_head.sync_from_tape(&t, &lv_h);
+        self.decoder.sync_from_tape(&t, &dec);
         losses
     }
 
@@ -177,38 +184,26 @@ impl Vae {
     /// Panics on a wrong input shape.
     pub fn reconstruct(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape(), (1, self.cfg_input_dim), "bad input shape");
-        let mut g = Graph::new();
-        let enc = self.encoder.bind_frozen(&mut g);
-        let mu_h = self.mu_head.bind_frozen(&mut g);
-        let dec = self.decoder.bind_frozen(&mut g);
-        let xin = g.input(x.clone());
-        let h = enc.forward(&mut g, xin);
-        let h = Activation::Silu.apply(&mut g, h);
-        let mu = mu_h.forward(&mut g, h);
-        let logits = dec.forward(&mut g, mu);
-        let out = g.sigmoid(logits);
-        g.value(out).clone()
-    }
-
-    /// Decodes a latent vector into an output raster.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a wrong latent shape.
-    pub fn decode(&self, z: &Tensor) -> Tensor {
-        assert_eq!(z.shape(), (1, self.cfg_latent), "bad latent shape");
-        let mut g = Graph::new();
-        let dec = self.decoder.bind_frozen(&mut g);
-        let zin = g.input(z.clone());
-        let logits = dec.forward(&mut g, zin);
-        let out = g.sigmoid(logits);
-        g.value(out).clone()
+        let mut t = Tape::new();
+        let xin = t.leaf(x.data(), 1, self.cfg_input_dim);
+        let enc = self.encoder.bind_tape(&mut t);
+        let mu_h = self.mu_head.bind_tape(&mut t);
+        let dec = self.decoder.bind_tape(&mut t);
+        let h = enc.forward(&mut t, xin);
+        let h = t.activation(h, Act::Silu);
+        let mu = mu_h.forward(&mut t, h);
+        let logits = dec.forward(&mut t, mu);
+        let out = t.activation(logits, Act::Sigmoid);
+        t.seal(None, &[]);
+        t.forward();
+        Tensor::from_vec(t.value(out).to_vec(), 1, self.cfg_input_dim)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Adam, Graph};
 
     fn patterned_data(n: usize, dim: usize) -> Vec<Tensor> {
         (0..n)
@@ -255,16 +250,137 @@ mod tests {
         assert!(out.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
+    /// The scalar-`Graph` training loop the tape replaced, kept verbatim
+    /// (shape checks aside) as the reference for [`Vae::train`].
+    fn train_reference(vae: &mut Vae, data: &[Tensor], epochs: usize) -> Vec<f64> {
+        let mut rng = ChaCha8Rng::seed_from_u64(vae.seed ^ 0x5eed);
+        let mut g = Graph::new();
+        let enc = vae.encoder.bind(&mut g);
+        let mu_h = vae.mu_head.bind(&mut g);
+        let lv_h = vae.logvar_head.bind(&mut g);
+        let dec = vae.decoder.bind(&mut g);
+        let params: Vec<_> = enc
+            .params()
+            .into_iter()
+            .chain(mu_h.params())
+            .chain(lv_h.params())
+            .chain(dec.params())
+            .collect();
+        let mut opt = Adam::new(
+            params,
+            AdamConfig {
+                lr: vae.lr,
+                ..AdamConfig::default()
+            },
+            &g,
+        );
+        let mut losses = Vec::with_capacity(epochs);
+        for _ in 0..epochs {
+            let mut epoch_loss = 0.0;
+            for sample in data {
+                g.reset();
+                let x = g.input(sample.clone());
+                let h = enc.forward(&mut g, x);
+                let h = Activation::Silu.apply(&mut g, h);
+                let mu = mu_h.forward(&mut g, h);
+                let logvar = lv_h.forward(&mut g, h);
+                // z = mu + eps * exp(0.5 logvar)
+                let eps = g.input(Tensor::randn(1, vae.cfg_latent, &mut rng));
+                let half_lv = g.scale(logvar, 0.5);
+                let std = g.exp(half_lv);
+                let noise = g.mul(eps, std);
+                let z = g.add(mu, noise);
+                let logits = dec.forward(&mut g, z);
+                let recon = g.sigmoid(logits);
+                let rec_loss = g.mse(recon, x);
+                // KL(q || N(0,1)) = -0.5 Σ (1 + logvar - mu² - exp(logvar))
+                let mu2 = g.square(mu);
+                let elv = g.exp(logvar);
+                let inner = g.sub(logvar, mu2);
+                let inner = g.sub(inner, elv);
+                let ssum = g.sum(inner);
+                let kl_core = g.scale(ssum, -0.5);
+                let latent_bias = -0.5 * vae.cfg_latent as f64;
+                let kl = g.scale(kl_core, vae.beta);
+                let loss = g.add(rec_loss, kl);
+                g.backward(loss);
+                opt.step(&mut g);
+                epoch_loss += g.value(loss).get(0, 0) + vae.beta * latent_bias;
+            }
+            losses.push(epoch_loss / data.len() as f64);
+        }
+        vae.encoder.sync_from(&g, &enc);
+        vae.mu_head.sync_from(&g, &mu_h);
+        vae.logvar_head.sync_from(&g, &lv_h);
+        vae.decoder.sync_from(&g, &dec);
+        losses
+    }
+
     #[test]
-    fn decode_shape() {
-        let vae = Vae::new(VaeConfig {
-            input_dim: 8,
-            hidden: 16,
-            latent: 3,
+    fn training_matches_graph_reference() {
+        // A training run compounds per-step deviations through Adam, so it
+        // gets the same 1e-8 relative band as the 3DGNN's training parity.
+        fn close(a: f64, b: f64, what: &str) {
+            assert!(
+                (a - b).abs() <= 1e-8 * (1.0 + b.abs()),
+                "{what} diverged: {a} vs {b} (|Δ| = {:e})",
+                (a - b).abs()
+            );
+        }
+        let cfg = VaeConfig {
+            input_dim: 16,
+            hidden: 32,
+            latent: 4,
+            ..VaeConfig::default()
+        };
+        let data = patterned_data(6, 16);
+        let mut tape = Vae::new(cfg.clone());
+        let mut reference = Vae::new(cfg);
+        let got = tape.train(&data, 10);
+        let want = train_reference(&mut reference, &data, 10);
+        for (a, b) in got.iter().zip(&want) {
+            close(*a, *b, "epoch loss");
+        }
+        for x in &data {
+            let (a, b) = (tape.reconstruct(x), reference.reconstruct(x));
+            for (a, b) in a.data().iter().zip(b.data()) {
+                close(*a, *b, "trained reconstruction");
+            }
+        }
+    }
+
+    #[test]
+    fn reconstruct_matches_graph_forward() {
+        // The scalar `Graph` forward of the posterior-mean decode, built
+        // from the same trained weights, is the reference for the tape.
+        let mut vae = Vae::new(VaeConfig {
+            input_dim: 16,
+            hidden: 32,
+            latent: 4,
             ..VaeConfig::default()
         });
-        let z = Tensor::zeros(1, 3);
-        assert_eq!(vae.decode(&z).shape(), (1, 8));
+        let data = patterned_data(6, 16);
+        vae.train(&data, 20);
+        for x in &data {
+            let got = vae.reconstruct(x);
+            let mut g = Graph::new();
+            let enc = vae.encoder.bind_frozen(&mut g);
+            let mu_h = vae.mu_head.bind_frozen(&mut g);
+            let dec = vae.decoder.bind_frozen(&mut g);
+            let xin = g.input(x.clone());
+            let h = enc.forward(&mut g, xin);
+            let h = Activation::Silu.apply(&mut g, h);
+            let mu = mu_h.forward(&mut g, h);
+            let logits = dec.forward(&mut g, mu);
+            let want = g.sigmoid(logits);
+            assert_eq!(got.shape(), g.value(want).shape());
+            for (a, b) in got.data().iter().zip(g.value(want).data()) {
+                assert!(
+                    (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
+                    "reconstruction diverged: {a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

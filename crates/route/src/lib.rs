@@ -55,8 +55,6 @@ pub use def::{parse_def, write_def, DefParseError};
 pub use drc::{check_layout, Violation, ViolationKind};
 pub use grid::RoutingGrid;
 pub use guidance::{GuidanceMap2D, NonUniformGuidance, RoutingGuidance};
-#[allow(deprecated)]
-pub use router::route;
 pub use router::{
     OpenListKind, RouteConfigError, RouteError, Router, RouterConfig, RouterConfigBuilder,
 };

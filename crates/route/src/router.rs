@@ -11,8 +11,7 @@
 //! bit-identical at every thread count.
 //!
 //! The entry point is the [`Router`] session type, built from a validated
-//! [`RouterConfig`] (see [`RouterConfig::builder`]); the free [`route`]
-//! function remains as a deprecated shim.
+//! [`RouterConfig`] (see [`RouterConfig::builder`]).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -783,27 +782,6 @@ impl Router {
     }
 }
 
-/// Routes a placed circuit (deprecated free-function shim).
-///
-/// # Errors
-///
-/// [`RouteError::Config`] when `cfg` fails validation, otherwise whatever
-/// [`Router::route`] returns.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Router` session instead: `Router::new(cfg.clone())?.route(circuit, placement, tech, guidance)`"
-)]
-pub fn route(
-    circuit: &Circuit,
-    placement: &Placement,
-    tech: &Technology,
-    guidance: &RoutingGuidance,
-    cfg: &RouterConfig,
-) -> Result<RoutedLayout, RouteError> {
-    let router = Router::new(cfg.clone())?;
-    router.route(circuit, placement, tech, guidance)
-}
-
 /// Builds the work list: symmetric pairs first (so the mirror corridor is
 /// free), then remaining nets by descending weight; supplies last.
 fn build_tasks(
@@ -1253,8 +1231,9 @@ mod tests {
         };
         let err = Router::new(cfg).unwrap_err();
         assert_eq!(err, RouteConfigError::MinGuidance { got: 0.0 });
-        // and the error folds into RouteError for the shim path
+        // and the error folds into RouteError::Config for `?` callers
         let re: RouteError = err.into();
+        assert!(matches!(re, RouteError::Config(_)));
         assert!(re.to_string().contains("min_guidance"));
     }
 
@@ -1332,29 +1311,6 @@ mod tests {
                 "{err} should mention {needle}"
             );
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_route_shim_matches_session() {
-        let c = benchmarks::ota1();
-        let p = place(&c, PlacementVariant::A);
-        let t = Technology::nm40();
-        let cfg = RouterConfig::default();
-        let via_shim = route(&c, &p, &t, &RoutingGuidance::None, &cfg).unwrap();
-        let via_session = Router::new(cfg)
-            .unwrap()
-            .route(&c, &p, &t, &RoutingGuidance::None)
-            .unwrap();
-        assert_eq!(via_shim.nets, via_session.nets);
-
-        // invalid config surfaces as RouteError::Config through the shim
-        let bad = RouterConfig {
-            max_iterations: 0,
-            ..RouterConfig::default()
-        };
-        let err = route(&c, &p, &t, &RoutingGuidance::None, &bad).unwrap_err();
-        assert!(matches!(err, RouteError::Config(_)));
     }
 
     #[test]

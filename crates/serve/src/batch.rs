@@ -1,7 +1,7 @@
 //! Cross-request micro-batching for `/v1/predict`.
 //!
-//! A single collector thread owns the [`PredictSession`] (and with it the
-//! mutable inference graph). Handler threads submit jobs into a bounded
+//! A single collector thread owns the compiled [`analogfold::GnnProgram`]
+//! (and with it the mutable inference tape). Handler threads submit jobs into a bounded
 //! queue and block on a reply channel; the collector takes the first job,
 //! then keeps collecting until either `batch_max` jobs are in hand or
 //! `batch_window_us` has elapsed since the first, and runs one batched
@@ -70,7 +70,7 @@ pub struct Batcher {
     admission: Arc<Admission>,
 }
 
-/// The collector loop: owns a [`analogfold::PredictSession`] and drains the
+/// The collector loop: owns a [`analogfold::GnnProgram`] and drains the
 /// queue in micro-batches until it closes. The loop runs under a
 /// [`Supervisor`], so it must be re-enterable: a panic (real, or injected
 /// via the `serve.batch` failpoint) unwinds out, dropping the in-hand jobs'

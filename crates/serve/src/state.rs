@@ -9,13 +9,13 @@ use af_model::{CanaryReport, CanaryStats};
 use af_netlist::{benchmarks, Circuit};
 use af_place::{place, Placement, PlacementVariant};
 use af_tech::Technology;
-use analogfold::{HeteroGraph, PredictSession, ThreeDGnn};
+use analogfold::{GnnProgram, HeteroGraph, ThreeDGnn};
 
 use crate::ServeError;
 
 /// Everything the endpoints need, built once. Handlers hold it behind an
-/// `Arc` and never mutate it; per-thread mutable state (graph buffers for
-/// inference) lives in [`PredictSession`]s created from it.
+/// `Arc` and never mutate it; per-thread mutable state (tape buffers for
+/// inference) lives in the [`GnnProgram`]s created from it.
 #[derive(Debug, Clone)]
 pub struct ModelBundle {
     /// Benchmark circuit.
@@ -75,14 +75,14 @@ impl ModelBundle {
 
     /// A fresh inference session bound to this bundle's graph.
     #[must_use]
-    pub fn session(&self) -> PredictSession {
+    pub fn session(&self) -> GnnProgram {
         self.gnn.session(&self.graph)
     }
 
     /// Expected guidance vector length (3 per guided access point).
     #[must_use]
     pub fn guidance_len(&self) -> usize {
-        self.session().guidance_len()
+        self.graph.guided_ap_indices().len() * 3
     }
 }
 
@@ -279,6 +279,7 @@ mod tests {
         });
         let bundle = ModelBundle::with_model("OTA1", "A", gnn.clone()).unwrap();
         assert!(bundle.guidance_len() > 0);
+        assert_eq!(bundle.guidance_len(), bundle.session().guidance_len());
         assert!(matches!(
             ModelBundle::with_model("OTA99", "A", gnn.clone()),
             Err(ServeError::Config(_))

@@ -27,7 +27,7 @@
 //! runtime AVX2+FMA dispatch engages ([`kernels::fma_active`]), the matmul
 //! family fuses the multiply-add rounding step and matches within `1e-9`.
 //!
-//! **Transcendentals** (SiLU, sigmoid, RBF) run on the [`exp`] module's
+//! **Transcendentals** (exp, SiLU, sigmoid, RBF) run on the [`exp`] module's
 //! polynomial exp — accurate to ≲1e-13 relative against libm, so
 //! end-to-end predictions/gradients match the oracle within the documented
 //! `≤1e-9` envelope rather than bitwise.

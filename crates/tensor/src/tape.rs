@@ -76,6 +76,10 @@ enum Op {
     Square {
         x: Var,
     },
+    /// Elementwise exp on the deterministic polynomial [`crate::exp`].
+    Exp {
+        x: Var,
+    },
     /// Elementwise square root, clamped at `1e-12` like the oracle.
     Sqrt {
         x: Var,
@@ -354,6 +358,13 @@ impl Tape {
         self.push(Op::Square { x }, m, n)
     }
 
+    /// Elementwise `exp` (the [`crate::exp`] polynomial; see the crate
+    /// docs for its accuracy against libm).
+    pub fn exp(&mut self, x: Var) -> Var {
+        let (m, n) = self.shape(x);
+        self.push(Op::Exp { x }, m, n)
+    }
+
     /// Elementwise square root, clamped at `1e-12`.
     pub fn sqrt(&mut self, x: Var) -> Var {
         let (m, n) = self.shape(x);
@@ -444,6 +455,7 @@ impl Tape {
             Op::Activation { x, .. }
             | Op::Scale { x, .. }
             | Op::Square { x }
+            | Op::Exp { x }
             | Op::Sqrt { x }
             | Op::Sum { x }
             | Op::SumCols { x }
@@ -617,6 +629,10 @@ impl Tape {
                     for (o, &v) in out.iter_mut().zip(&prev[x.0 as usize]) {
                         *o = v * v;
                     }
+                }
+                Op::Exp { x } => {
+                    out.copy_from_slice(&prev[x.0 as usize]);
+                    crate::exp::vexp_inplace(out);
                 }
                 Op::Sqrt { x } => {
                     for (o, &v) in out.iter_mut().zip(&prev[x.0 as usize]) {
@@ -853,6 +869,14 @@ impl Tape {
                         let xv = &vals[x.0 as usize];
                         for ((o, &g), &v) in gprev[x.0 as usize].iter_mut().zip(gout).zip(xv) {
                             *o += 2.0 * g * v;
+                        }
+                    }
+                }
+                Op::Exp { x } => {
+                    if mask[x.0 as usize] {
+                        let yv = &vals[i];
+                        for ((o, &g), &y) in gprev[x.0 as usize].iter_mut().zip(gout).zip(yv) {
+                            *o += g * y;
                         }
                     }
                 }

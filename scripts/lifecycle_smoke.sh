@@ -158,6 +158,20 @@ SERVE_PID=$!
 wait_for_addr "$WORK/serve-b.log"
 echo "server at $ADDR"
 
+# The registry watcher puts the candidate under canary at its first poll; a
+# job that finishes before then is never scored, so wait for it first.
+UNDER_CANARY=""
+for _ in $(seq 1 150); do
+    curl -sf "http://$ADDR/v1/models" > "$WORK/models-b.json"
+    CANARY_HASH=$(python3 -c 'import json,sys; c=json.load(open(sys.argv[1])).get("canary"); print(c["candidate"] if c else "")' \
+        "$WORK/models-b.json")
+    if [ "$CANARY_HASH" = "$BAD" ]; then UNDER_CANARY=yes; break; fi
+    sleep 0.2
+done
+[ -n "$UNDER_CANARY" ] || { echo "candidate $BAD never went under canary"; \
+    cat "$WORK/models-b.json"; cat "$WORK/serve-b.log"; exit 1; }
+echo "candidate $BAD under canary"
+
 for seed in 6 7 8; do
     route_to_done "$seed"
 done

@@ -14,5 +14,4 @@ cargo run -p af-bench --bin fig6_layouts   --release -- quick > fig6_full.txt 2>
 cargo run -p af-bench --bin ablations      --release -- quick > ablations_full.txt 2>&1
 cargo run -p af-bench --bin extension_ota5 --release -- quick > ext_ota5.txt 2>&1
 cargo run -p af-bench --bin stability      --release -- quick seeds=3 > stability.txt 2>&1
-cargo run -p af-bench --bin gnn_bench      --release -- quick > gnn_bench.txt 2>&1
 echo ALLDONE

@@ -29,7 +29,7 @@ use analogfold_suite::fault::{self, FaultMode, RetryPolicy};
 use analogfold_suite::netlist::{benchmarks, NetId};
 use analogfold_suite::place::{place, PlacementVariant};
 use analogfold_suite::route::{Router, RouterConfig, RoutingGuidance};
-use analogfold_suite::serve::api::HealthResponse;
+use analogfold_suite::serve::api::{HealthResponse, PredictResponse};
 use analogfold_suite::serve::http::{self, RawResponse};
 use analogfold_suite::serve::{ModelBundle, ServeConfig, Server};
 use analogfold_suite::sim::SimConfig;
@@ -624,7 +624,7 @@ fn trainer_killed_mid_finetune_never_exposes_a_half_written_candidate() {
 // seeded `serve.batch.delay` failpoint fires on every batch of exactly one
 // worker), the front hedges around it, the latency breaker trips it out of
 // the ring, and a disarmed run heals the breaker back to closed — while the
-// prediction bodies stay bit-identical at every server thread count.
+// predicted performance stays bit-identical at every server thread count.
 
 #[test]
 fn fleet_slow_worker_is_hedged_tripped_and_healed() {
@@ -667,7 +667,20 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
         )
     };
 
-    let mut reference: Option<Vec<String>> = None;
+    // A reply's `batch_size` is not compared: with 4 or 8 handlers a request
+    // can share a batch with an abandoned hedge leg still queued on that
+    // worker. Batching never changes `performance`, so that is compared
+    // bit for bit.
+    let performance_bits = |reply: &RawResponse| -> [u64; 5] {
+        reply
+            .json::<PredictResponse>()
+            .expect("a /v1/predict body")
+            .performance
+            .as_array()
+            .map(f64::to_bits)
+    };
+
+    let mut reference: Option<Vec<[u64; 5]>> = None;
     for threads in [1usize, 4, 8] {
         fault::disarm_all();
         fault::set_seed(fault_seed);
@@ -742,7 +755,7 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
             std::thread::sleep(Duration::from_millis(20));
         }
 
-        let bodies: Vec<String> = (0..NONCES)
+        let predictions: Vec<[u64; 5]> = (0..NONCES)
             .map(|nonce| {
                 let reply = request(
                     front.addr(),
@@ -751,13 +764,13 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
                     &bodies_for(guidance_len, nonce),
                 );
                 assert_eq!(reply.status, 200, "{}", reply.text());
-                reply.text().into_owned()
+                performance_bits(&reply)
             })
             .collect();
 
         // Parity with every replica answered directly — the hedge winner is
         // whichever leg was fastest, so this is only safe because replicas
-        // agree byte-for-byte.
+        // agree bit for bit.
         for (id, server, _) in &rigs {
             let direct = request(
                 server.addr(),
@@ -767,17 +780,17 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
             );
             assert_eq!(direct.status, 200);
             assert_eq!(
-                direct.text(),
-                bodies[0],
+                performance_bits(&direct),
+                predictions[0],
                 "replica {id} disagrees with the front"
             );
         }
 
         match &reference {
-            None => reference = Some(bodies),
+            None => reference = Some(predictions),
             Some(want) => assert_eq!(
-                want, &bodies,
-                "prediction bodies must be thread-count invariant under the slow worker"
+                want, &predictions,
+                "predictions must be thread-count invariant under the slow worker"
             ),
         }
 

@@ -351,7 +351,7 @@ fn dataset_retry_policy_is_invisible_without_faults() {
 }
 
 /// Deterministic guidance probes inside the box bounds (no RNG: the same
-/// points must be fed to both GNN implementations).
+/// points must be fed to both compiled programs).
 fn guidance_probes(n: usize, dim: usize, lo: f64, hi: f64) -> Vec<Vec<f64>> {
     let mid = 0.5 * (lo + hi);
     let amp = 0.4 * (hi - lo);
@@ -364,62 +364,14 @@ fn guidance_probes(n: usize, dim: usize, lo: f64, hi: f64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The af-tensor contract: the compiled `GnnProgram` tape is a drop-in
-/// replacement for the scalar `af_nn::Graph` oracle within ≤1e-9 —
-/// predictions, FoM values, and guidance gradients. The deliberate
-/// deviations are the polynomial exp (≲1e-13 relative vs libm) and, where
-/// the runtime AVX2+FMA dispatch engages, fused multiply-add rounding; both
-/// stay far inside the envelope (see `crates/tensor/src/lib.rs`).
-#[test]
-fn gnn_tensor_path_matches_scalar_oracle() {
-    fn close(a: f64, b: f64, what: &str) {
-        assert!(
-            (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-            "{what} diverged: {a} vs {b} (|Δ| = {:e})",
-            (a - b).abs()
-        );
-    }
-    let circuit = benchmarks::ota1();
-    let tech = Technology::nm40();
-    let placement = place(&circuit, PlacementVariant::A);
-    let graph = HeteroGraph::build(&circuit, &placement, &tech, 2);
-    let cfg = GnnConfig {
-        hidden: 8,
-        layers: 1,
-        ..GnnConfig::default()
-    };
-    let gnn = ThreeDGnn::new(&cfg);
-    let tensors = GraphTensors::new(&graph);
-    let weights = [1.0, -1.0, -1.0, -1.0, 1.0];
-    let probes = guidance_probes(4, tensors.guidance_len(), cfg.c_min, cfg.c_max);
-
-    let mut predictor = GnnProgram::compile_predict(&gnn, &tensors);
-    let mut fom = GnnProgram::compile_fom(&gnn, &tensors, &weights);
-    for c in &probes {
-        let fast = predictor.predict(c);
-        let oracle = gnn.predict_oracle(&graph, c);
-        assert_eq!(fast.len(), oracle.len());
-        for (a, b) in fast.iter().zip(&oracle) {
-            close(*a, *b, "prediction");
-        }
-
-        let (f_fast, g_fast) = fom.fom_and_grad(c);
-        let (f_oracle, g_oracle) = gnn.fom_and_grad_oracle(&tensors, c, &weights);
-        close(f_fast, f_oracle, "FoM");
-        assert_eq!(g_fast.len(), g_oracle.len());
-        for (a, b) in g_fast.iter().zip(&g_oracle) {
-            close(*a, *b, "gradient");
-        }
-    }
-}
-
 /// Tape replay and recompilation are both deterministic: a recompiled
 /// program gives the same bits as a fresh one, and a program returning to a
 /// previously seen input reproduces it exactly even after evaluating other
 /// points in between. (Thread-count and cache on/off invariance of the
 /// tensor path is covered by `relaxation_thread_count_invariant` and
 /// `relaxation_cache_on_off_thread_count_invariant` above, which run the
-/// compiled tape unless `AF_GNN_ORACLE` forces the scalar path.)
+/// compiled tape. Parity with the scalar `af_nn::Graph` reference is
+/// `analogfold`'s `gnn::tests::fast_path_matches_oracle`.)
 #[test]
 fn gnn_program_replay_and_recompilation_deterministic() {
     let circuit = benchmarks::ota1();

@@ -66,7 +66,7 @@ fn oracle_eval(op_mix: u8, data: &[f64], gamma: f64) -> (f64, Vec<f64>, Option<V
     let mut g = Graph::new();
     let x = g.param(Tensor::from_vec(data.to_vec(), ROWS, COLS));
     let mut w_node = None;
-    let y = match op_mix % 5 {
+    let y = match op_mix % 6 {
         0 => {
             // Linear + relu: x·W through a tracked weight.
             let w = g.param(Tensor::from_vec(W_DATA.to_vec(), COLS, 3));
@@ -103,12 +103,20 @@ fn oracle_eval(op_mix: u8, data: &[f64], gamma: f64) -> (f64, Vec<f64>, Option<V
             let m = g.mul(s, s);
             g.sum(m)
         }
-        _ => {
+        4 => {
             // Message-passing shape: gather → scatter-add → sigmoid.
             let ga = g.gather(x, &GATHER_A);
             let sc = g.scatter_add(ga, &SCATTER_TO, 2);
             let sg = g.sigmoid(sc);
             g.sum(sg)
+        }
+        _ => {
+            // The VAE's reparameterization shape: exp(x/2) ⊙ x, so x's
+            // gradient accumulates through both the exp and the product.
+            let h = g.scale(x, 0.5);
+            let e = g.exp(h);
+            let m = g.mul(e, x);
+            g.sum(m)
         }
     };
     g.backward(y);
@@ -128,7 +136,7 @@ fn tape_build(
     let mut t = Tape::new();
     let x = t.input(ROWS, COLS);
     let mut wanted = vec![x];
-    let loss = match op_mix % 5 {
+    let loss = match op_mix % 6 {
         0 => {
             let w = t.leaf(&W_DATA, COLS, 3);
             wanted.push(w);
@@ -161,13 +169,19 @@ fn tape_build(
             let m = t.mul(s, s);
             t.sum(m)
         }
-        _ => {
+        4 => {
             let ca = t.register_csr(Arc::new(CsrIndex::new(&GATHER_A, ROWS)));
             let cs = t.register_csr(Arc::new(CsrIndex::new(&SCATTER_TO, 2)));
             let ga = t.gather(x, ca);
             let sc = t.scatter_add(ga, cs);
             let sg = t.activation(sc, Act::Sigmoid);
             t.sum(sg)
+        }
+        _ => {
+            let h = t.scale(x, 0.5);
+            let e = t.exp(h);
+            let m = t.mul(e, x);
+            t.sum(m)
         }
     };
     t.seal(Some(loss), &wanted);
@@ -333,18 +347,18 @@ proptest! {
 
     #[test]
     fn tape_gradients_match_oracle_graph(
-        op_mix in 0u8..5,
+        op_mix in 0u8..6,
         data in prop::collection::vec(-1.5f64..1.5, 6),
         gamma in 0.5f64..3.0,
     ) {
         let (want_loss, want_gx, want_gw) = oracle_eval(op_mix, &data, gamma);
         let (mut t, loss, wanted) = tape_build(op_mix, gamma);
         let (got_loss, grads) = tape_eval(&mut t, loss, &wanted, &data);
-        // Mixes 2 (RBF) and 4 (sigmoid) route through the polynomial exp,
-        // which deliberately differs from the oracle's libm by ≲1e-13; the
-        // purely algebraic mixes hold the strict (bitwise-without-FMA)
-        // contract.
-        let check: fn(&[f64], &[f64], &str) = if matches!(op_mix % 5, 2 | 4) {
+        // Mixes 2 (RBF), 4 (sigmoid) and 5 (exp) route through the
+        // polynomial exp, which deliberately differs from the oracle's libm
+        // by ≲1e-13; the purely algebraic mixes hold the strict
+        // (bitwise-without-FMA) contract.
+        let check: fn(&[f64], &[f64], &str) = if matches!(op_mix % 6, 2 | 4 | 5) {
             assert_parity_exp
         } else {
             assert_parity
@@ -358,7 +372,7 @@ proptest! {
 
     #[test]
     fn tape_replay_is_bit_identical(
-        op_mix in 0u8..5,
+        op_mix in 0u8..6,
         data in prop::collection::vec(-1.5f64..1.5, 6),
         other in prop::collection::vec(-1.5f64..1.5, 6),
     ) {
