@@ -174,9 +174,6 @@ pub fn design_eval_hash(
         bend_penalty,
         max_iterations,
         enforce_symmetry,
-        open_list,
-        bidirectional,
-        guidance_aware_h,
         ..
     } = router.clone();
     h.write_i64(coarsen);
@@ -189,13 +186,6 @@ pub fn design_eval_hash(
     h.write_f64(bend_penalty);
     h.write_u64(u64::from(max_iterations));
     h.write_u8(u8::from(enforce_symmetry));
-    h.write_u8(match open_list {
-        af_route::OpenListKind::Bucket => 0,
-        af_route::OpenListKind::Heap => 1,
-        _ => u8::MAX,
-    });
-    h.write_u8(u8::from(bidirectional));
-    h.write_u8(u8::from(guidance_aware_h));
     h.write_f64(sim.f_start);
     h.write_f64(sim.f_stop);
     h.write_usize(sim.points_per_decade);
@@ -441,6 +431,66 @@ mod tests {
         let mut d = ContentHasher::new();
         hash_value(&mut d, &serde::Value::UInt(7));
         assert_ne!(c.finish(), d.finish());
+    }
+
+    /// A named one-field edit of a config.
+    type Edit<T> = (&'static str, fn(&mut T));
+
+    #[test]
+    fn design_eval_hash_ignores_threads_and_keys_every_hashed_field() {
+        let g = graph();
+        let sim = SimConfig::default();
+        let base = design_eval_hash(&g, &RouterConfig::default(), &sim);
+        let with_router = |edit: fn(&mut RouterConfig)| {
+            let mut r = RouterConfig::default();
+            edit(&mut r);
+            design_eval_hash(&g, &r, &sim)
+        };
+        // Layouts are bit-identical at every thread count, so the key is too.
+        assert_eq!(
+            with_router(|r| r.threads = 1),
+            with_router(|r| r.threads = 8)
+        );
+
+        let router_edits: [Edit<RouterConfig>; 10] = [
+            ("coarsen", |r| r.coarsen += 1),
+            ("via_cost", |r| r.via_cost += 1.0),
+            ("wrong_dir_mult", |r| r.wrong_dir_mult += 1.0),
+            ("present_cost", |r| r.present_cost += 1.0),
+            ("history_increment", |r| r.history_increment += 1.0),
+            ("reuse_discount", |r| r.reuse_discount /= 2.0),
+            ("min_guidance", |r| r.min_guidance /= 2.0),
+            ("bend_penalty", |r| r.bend_penalty += 1.0),
+            ("max_iterations", |r| r.max_iterations += 1),
+            ("enforce_symmetry", |r| {
+                r.enforce_symmetry = !r.enforce_symmetry
+            }),
+        ];
+        for (field, edit) in router_edits {
+            assert_ne!(
+                with_router(edit),
+                base,
+                "RouterConfig::{field} must change the key"
+            );
+        }
+
+        let sim_edits: [Edit<SimConfig>; 9] = [
+            ("f_start", |s| s.f_start *= 2.0),
+            ("f_stop", |s| s.f_stop *= 2.0),
+            ("points_per_decade", |s| s.points_per_decade += 1),
+            ("supply_noise_v2hz", |s| s.supply_noise_v2hz *= 2.0),
+            ("gamma_noise", |s| s.gamma_noise += 0.1),
+            ("temperature", |s| s.temperature += 1.0),
+            ("v_overdrive", |s| s.v_overdrive += 0.01),
+            ("cmrr_cap_db", |s| s.cmrr_cap_db += 1.0),
+            ("cmrr_mismatch_ref_uv", |s| s.cmrr_mismatch_ref_uv += 1.0),
+        ];
+        for (field, edit) in sim_edits {
+            let mut s = SimConfig::default();
+            edit(&mut s);
+            let key = design_eval_hash(&g, &RouterConfig::default(), &s);
+            assert_ne!(key, base, "SimConfig::{field} must change the key");
+        }
     }
 
     #[test]

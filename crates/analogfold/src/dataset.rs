@@ -503,7 +503,7 @@ impl<'a> EvalCtx<'a> {
 }
 
 /// Whether a loaded shard is complete and fully successful for `cfg` —
-/// the reuse criterion shared by resume-from-checkpoint and the fleet's
+/// the reuse check shared by resume-from-checkpoint and the fleet's
 /// lease-recovery path (anything short, corrupt, or carrying recorded
 /// failures regenerates).
 #[must_use]

@@ -1,6 +1,5 @@
 #![warn(missing_docs)]
-//! Shared experiment harness for the table/figure reproduction binaries and
-//! the Criterion benchmarks.
+//! Shared experiment harness for the table/figure reproduction binaries.
 //!
 //! The entry point is [`run_row`], which evaluates one Table 2 row
 //! (`<benchmark>-<variant>`) under all four methods: Schematic,

@@ -1,31 +1,30 @@
 //! A* maze search over the routing grid.
 //!
-//! Two interchangeable open-list engines back the search: a bucketed queue
-//! keyed on quantized f-cost (the default — O(1) push/pop on the shallow
-//! cost distributions maze routing produces) and the classic `BinaryHeap`
-//! (kept as the correctness oracle for the bucket queue's property tests).
-//! Both run the same *deferred-termination* loop: instead of stopping at the
-//! first target pop, the search records the best target cost `μ` seen so far,
-//! prunes every frontier entry with `f ≥ μ`, and stops once the open list's
-//! lower bound can no longer beat `μ`. Under an admissible heuristic this is
-//! exact for *any* pop order, which is what makes the two engines (and the
-//! bidirectional variant below) agree on path cost.
+//! One engine: unidirectional A* over a bucketed open list keyed on
+//! quantized f-cost ([`BucketQueue`], O(1) push/pop on the shallow cost
+//! distributions maze routing produces). The search uses *deferred
+//! termination*: instead of stopping at the first target pop, it records
+//! the best target cost `μ` seen so far, prunes every frontier entry with
+//! `f ≥ μ`, and stops once the open list's lower bound can no longer beat
+//! `μ`. Under an admissible heuristic this is exact for *any* pop order,
+//! which is what lets the test module hold the bucket queue to a
+//! binary-heap oracle on path cost.
 //!
-//! For plain two-pin connections with a weak heuristic the search switches to
-//! bidirectional Dijkstra, meeting in the middle; for guided nets the
-//! heuristic is scaled by the net's *minimum* guidance multiplier
-//! ([`crate::guidance::RoutingGuidance::min_multiplier`]) instead of the
-//! global floor, which sharpens the lower bound and prunes hopeless frontier
-//! nodes much earlier.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The heuristic is the Manhattan distance to the nearest target at just
+//! under unit scale ([`H_SCALE`]). The router divides every guidance
+//! multiplier of a net by the net's floor
+//! ([`crate::guidance::RoutingGuidance::scale_floor`]), so each normalized
+//! multiplier is ≥ 1.0 and the bound is admissible whenever vias cost ≥ 1
+//! and no reuse discount applies — the conditions the oracle test holds.
+//! Where a path re-walks the net's own wire at the reuse discount the bound
+//! can overestimate, and the search returns a good path rather than a
+//! provably cheapest one.
 
 use af_geom::{Axis, Dir3, GridPoint};
 use af_netlist::NetId;
 
 use crate::guidance::RoutingGuidance;
-use crate::router::{OpenListKind, RouterConfig};
+use crate::router::RouterConfig;
 use crate::view::GridView;
 
 /// Bucket width in cost units. Steps cost at least `min_guidance` (0.25 by
@@ -51,7 +50,27 @@ pub(crate) struct BucketQueue {
     len: usize,
 }
 
+/// The open-list operations the search loop needs. [`BucketQueue`] is the
+/// one production impl; the test module adds a binary-heap oracle.
+pub(crate) trait OpenList {
+    /// Empties the list for a new search.
+    fn clear(&mut self);
+    /// Adds `node` with f-cost `f` and path cost `g`.
+    fn push(&mut self, f: f64, g: f64, node: usize);
+    /// Removes an entry of (near-)minimal f-cost as `(f, g, node)`.
+    fn pop(&mut self) -> Option<(f64, f64, usize)>;
+    /// Lower bound on every remaining f-cost (∞ when empty).
+    fn min_bound(&mut self) -> f64;
+}
+
 impl BucketQueue {
+    fn index(f: f64) -> usize {
+        // NaN maps to 0 via the `as` cast; validate() keeps costs finite.
+        ((f / BUCKET_WIDTH) as usize).min(MAX_BUCKET)
+    }
+}
+
+impl OpenList for BucketQueue {
     fn clear(&mut self) {
         for &t in &self.touched {
             self.buckets[t as usize].clear();
@@ -59,11 +78,6 @@ impl BucketQueue {
         self.touched.clear();
         self.cur = 0;
         self.len = 0;
-    }
-
-    fn index(f: f64) -> usize {
-        // NaN maps to 0 via the `as` cast; validate() keeps costs finite.
-        ((f / BUCKET_WIDTH) as usize).min(MAX_BUCKET)
     }
 
     fn push(&mut self, f: f64, g: f64, node: usize) {
@@ -92,9 +106,9 @@ impl BucketQueue {
         None
     }
 
-    /// Lower bound on every remaining f-cost (∞ when empty). Quantized, so
-    /// it may undershoot the true minimum by up to one bucket width — safe
-    /// for termination tests, which only need a valid lower bound.
+    /// Quantized, so it may undershoot the true minimum by up to one bucket
+    /// width — safe for termination tests, which only need a valid lower
+    /// bound.
     fn min_bound(&mut self) -> f64 {
         if self.len == 0 {
             return f64::INFINITY;
@@ -106,103 +120,29 @@ impl BucketQueue {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    f: f64,
-    g: f64,
-    node: usize,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap on f, tie-break larger g first (deeper nodes explored first)
-        other
-            .f
-            .partial_cmp(&self.f)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.g.partial_cmp(&other.g).unwrap_or(Ordering::Equal))
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One open list, engine-selected by [`RouterConfig::open_list`].
-enum Open<'q> {
-    Bucket(&'q mut BucketQueue),
-    Heap(&'q mut BinaryHeap<HeapEntry>),
-}
-
-impl Open<'_> {
-    fn clear(&mut self) {
-        match self {
-            Open::Bucket(b) => b.clear(),
-            Open::Heap(h) => h.clear(),
-        }
-    }
-
-    fn push(&mut self, f: f64, g: f64, node: usize) {
-        match self {
-            Open::Bucket(b) => b.push(f, g, node),
-            Open::Heap(h) => h.push(HeapEntry { f, g, node }),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(f64, f64, usize)> {
-        match self {
-            Open::Bucket(b) => b.pop(),
-            Open::Heap(h) => h.pop().map(|e| (e.f, e.g, e.node)),
-        }
-    }
-
-    /// Lower bound on every remaining f-cost (∞ when empty).
-    fn min_bound(&mut self) -> f64 {
-        match self {
-            Open::Bucket(b) => b.min_bound(),
-            Open::Heap(h) => h.peek().map_or(f64::INFINITY, |e| e.f),
-        }
-    }
-}
-
 /// Reusable search scratch space (stamped so clearing is O(1) per search).
 ///
-/// Holds forward *and* backward label arrays plus both open-list engines, so
-/// one buffer serves unidirectional and bidirectional searches without
-/// reallocating. In a parallel round each worker owns one of these
-/// (thread-local), never sharing search state across tasks.
+/// Holds the label arrays and the open list of one search. In a parallel
+/// round each worker owns one of these (thread-local), never sharing
+/// search state across tasks. `Q` is the open list: [`BucketQueue`] in
+/// production; the test module swaps in a binary-heap oracle.
 #[derive(Default)]
-pub(crate) struct SearchBuffers {
+pub(crate) struct SearchBuffers<Q = BucketQueue> {
     dist: Vec<f64>,
     came: Vec<u32>,
     stamp: Vec<u32>,
     target_stamp: Vec<u32>,
-    // Backward-search labels (bidirectional engine).
-    bdist: Vec<f64>,
-    bcame: Vec<u32>,
-    bstamp: Vec<u32>,
     cur: u32,
-    fwd_bucket: BucketQueue,
-    bwd_bucket: BucketQueue,
-    fwd_heap: BinaryHeap<HeapEntry>,
-    bwd_heap: BinaryHeap<HeapEntry>,
+    open: Q,
 }
 
-impl SearchBuffers {
-    pub(crate) fn ensure(&mut self, len: usize) {
+impl<Q> SearchBuffers<Q> {
+    fn ensure(&mut self, len: usize) {
         if self.dist.len() < len {
             self.dist.resize(len, 0.0);
             self.came.resize(len, u32::MAX);
             self.stamp.resize(len, 0);
             self.target_stamp.resize(len, 0);
-            self.bdist.resize(len, 0.0);
-            self.bcame.resize(len, u32::MAX);
-            self.bstamp.resize(len, 0);
         }
     }
 
@@ -211,7 +151,6 @@ impl SearchBuffers {
         if self.cur == 0 {
             self.stamp.iter_mut().for_each(|s| *s = 0);
             self.target_stamp.iter_mut().for_each(|s| *s = 0);
-            self.bstamp.iter_mut().for_each(|s| *s = 0);
             self.cur = 1;
         }
     }
@@ -334,48 +273,21 @@ fn grid_preferred(layer: u8, axis: Axis) -> bool {
     }
 }
 
-/// Heuristic distance scale.
-///
-/// Legacy mode uses the global guidance floor. Guidance-aware mode exploits
-/// the per-net normalization ([`RoutingGuidance::scale_floor`]): after
-/// dividing by the net's minimum, every multiplier is ≥ 1.0, so unit scale
-/// is a valid (and much sharper) lower bound that lets the search prune
-/// frontier nodes whose optimistic completion already exceeds the best
-/// known target cost.
-fn heuristic_scale(cfg: &RouterConfig) -> f64 {
-    let base = if cfg.guidance_aware_h {
-        1.0
-    } else {
-        cfg.min_guidance
-    };
-    0.999 * base.min(1.0)
-}
+/// Heuristic cost per unit of Manhattan distance. After per-net guidance
+/// normalization a step costs at least 1.0 when vias cost ≥ 1 and no reuse
+/// discount applies (see the module doc); the 0.999 margin keeps the bound
+/// below that even when `multiplier × recip(floor)` rounds a hair under 1.0.
+const H_SCALE: f64 = 0.999;
 
-/// Runs a maze search from `sources` (cost 0) to any node in `targets`.
+/// Runs a maze search from `sources` (cost 0) to any node in `targets`:
+/// one-sided A* with deferred termination and μ-pruning.
 ///
 /// Returns the path (source first, target last) or `None` when unreachable.
-/// Dispatches to bidirectional Dijkstra for plain two-pin connections whose
-/// heuristic is too weak to steer a one-sided search.
-pub(crate) fn search<G: GridView>(
+pub(crate) fn search<G: GridView, Q: OpenList>(
     step: &StepCost<'_, G>,
     sources: &[usize],
     targets: &[usize],
-    buffers: &mut SearchBuffers,
-) -> Option<FoundPath> {
-    let h_scale = heuristic_scale(step.cfg);
-    if step.cfg.bidirectional && sources.len() == 1 && targets.len() == 1 && h_scale < 0.5 {
-        return search_bidir(step, sources[0], targets[0], buffers);
-    }
-    search_uni(step, sources, targets, buffers, h_scale)
-}
-
-/// One-sided A* with deferred termination and μ-pruning.
-fn search_uni<G: GridView>(
-    step: &StepCost<'_, G>,
-    sources: &[usize],
-    targets: &[usize],
-    buffers: &mut SearchBuffers,
-    h_scale: f64,
+    buffers: &mut SearchBuffers<Q>,
 ) -> Option<FoundPath> {
     let dim = *step.grid.dim();
     buffers.ensure(dim.len());
@@ -392,13 +304,10 @@ fn search_uni<G: GridView>(
         for t in &target_points {
             best = best.min(g.manhattan(*t));
         }
-        best as f64 * h_scale
+        best as f64 * H_SCALE
     };
 
-    let mut open = match step.cfg.open_list {
-        OpenListKind::Bucket => Open::Bucket(&mut buffers.fwd_bucket),
-        _ => Open::Heap(&mut buffers.fwd_heap),
-    };
+    let open = &mut buffers.open;
     open.clear();
     for &s in sources {
         if !step.passable(s) {
@@ -495,172 +404,6 @@ fn search_uni<G: GridView>(
     Some(FoundPath { nodes, cost })
 }
 
-/// Bidirectional Dijkstra (no heuristic on either side) for one source, one
-/// target. Used when the heuristic is too weak to steer a one-sided search —
-/// two balls of radius d/2 expand far fewer nodes than one of radius d.
-///
-/// The backward search relaxes reversed edges: stepping `u ← v` backward
-/// charges the cost of *entering v* (what the forward path would pay), with
-/// the bend checked at `v` between the edge to `u` and `v`'s successor
-/// toward the target. The seam bend at the meeting node is not charged —
-/// consistent with the bend cost being path-approximate, not exact.
-fn search_bidir<G: GridView>(
-    step: &StepCost<'_, G>,
-    source: usize,
-    target: usize,
-    buffers: &mut SearchBuffers,
-) -> Option<FoundPath> {
-    let dim = *step.grid.dim();
-    buffers.ensure(dim.len());
-    buffers.next_gen();
-    let gen = buffers.cur;
-    if !step.passable(source) || !step.passable(target) {
-        return None;
-    }
-    if source == target {
-        return Some(FoundPath {
-            nodes: vec![source],
-            cost: 0.0,
-        });
-    }
-
-    let (mut fwd, mut bwd) = match step.cfg.open_list {
-        OpenListKind::Bucket => (
-            Open::Bucket(&mut buffers.fwd_bucket),
-            Open::Bucket(&mut buffers.bwd_bucket),
-        ),
-        _ => (
-            Open::Heap(&mut buffers.fwd_heap),
-            Open::Heap(&mut buffers.bwd_heap),
-        ),
-    };
-    fwd.clear();
-    bwd.clear();
-    buffers.dist[source] = 0.0;
-    buffers.stamp[source] = gen;
-    buffers.came[source] = u32::MAX;
-    fwd.push(0.0, 0.0, source);
-    buffers.bdist[target] = 0.0;
-    buffers.bstamp[target] = gen;
-    buffers.bcame[target] = u32::MAX;
-    bwd.push(0.0, 0.0, target);
-
-    // Best known source→target cost μ and its meeting node.
-    let mut best: Option<(f64, usize)> = None;
-    let mut expansions: u64 = 0;
-    loop {
-        let bf = fwd.min_bound();
-        let bb = bwd.min_bound();
-        if bf.is_infinite() && bb.is_infinite() {
-            break;
-        }
-        if let Some((mu, _)) = best {
-            // No pair of frontier extensions can beat μ anymore.
-            if bf + bb >= mu - 1e-12 {
-                break;
-            }
-        }
-        let forward = bf <= bb;
-        let Some((_, g, node)) = (if forward { fwd.pop() } else { bwd.pop() }) else {
-            continue;
-        };
-        let (dist, came, stamp, odist, ostamp) = if forward {
-            (
-                &mut buffers.dist,
-                &mut buffers.came,
-                &mut buffers.stamp,
-                &buffers.bdist,
-                &buffers.bstamp,
-            )
-        } else {
-            (
-                &mut buffers.bdist,
-                &mut buffers.bcame,
-                &mut buffers.bstamp,
-                &buffers.dist,
-                &buffers.stamp,
-            )
-        };
-        if stamp[node] == gen && g > dist[node] + 1e-12 {
-            continue; // stale entry
-        }
-        expansions += 1;
-        let gp = dim.from_flat(node);
-        // Axis of the edge this node already has on its own side: toward the
-        // source (forward came) or toward the target (backward came).
-        let settled_axis = if came[node] != u32::MAX {
-            axis_between(dim.from_flat(came[node] as usize), gp)
-        } else {
-            None
-        };
-        for dir in Dir3::ALL {
-            let Some((ng, nidx)) = neighbor(&dim, gp, dir) else {
-                continue;
-            };
-            if !step.passable(nidx) {
-                continue;
-            }
-            let bend = match settled_axis {
-                Some(axis) if axis != dir.axis() && axis != Axis::Z && dir.axis() != Axis::Z => {
-                    step.cfg.bend_penalty
-                }
-                _ => 0.0,
-            };
-            // Forward: pay to enter the neighbor. Backward: the forward path
-            // underneath steps neighbor→node, so pay to enter *node*.
-            let (enter_idx, hi_l) = if forward {
-                (nidx, gp.l.max(ng.l))
-            } else {
-                (node, gp.l.max(ng.l))
-            };
-            let layer = if dir.axis() == Axis::Z {
-                hi_l
-            } else if forward {
-                ng.l
-            } else {
-                gp.l
-            };
-            let ncost = g + step.enter_cost(enter_idx, dir.axis(), layer) + bend;
-            if stamp[nidx] != gen || ncost + 1e-12 < dist[nidx] {
-                if let Some((mu, _)) = best {
-                    if ncost >= mu - 1e-12 {
-                        continue;
-                    }
-                }
-                stamp[nidx] = gen;
-                dist[nidx] = ncost;
-                came[nidx] = node as u32;
-                if forward {
-                    fwd.push(ncost, ncost, nidx);
-                } else {
-                    bwd.push(ncost, ncost, nidx);
-                }
-                if ostamp[nidx] == gen {
-                    let total = ncost + odist[nidx];
-                    if best.is_none_or(|(mu, _)| total < mu - 1e-12) {
-                        best = Some((total, nidx));
-                    }
-                }
-            }
-        }
-    }
-    af_obs::counter("route.astar_expansions", expansions);
-    let (cost, meet) = best?;
-    let mut nodes = vec![meet];
-    let mut cur = meet;
-    while buffers.came[cur] != u32::MAX {
-        cur = buffers.came[cur] as usize;
-        nodes.push(cur);
-    }
-    nodes.reverse();
-    cur = meet;
-    while buffers.bcame[cur] != u32::MAX {
-        cur = buffers.bcame[cur] as usize;
-        nodes.push(cur);
-    }
-    Some(FoundPath { nodes, cost })
-}
-
 /// Axis of the (unit) step from `a` to `b`, `None` when coincident.
 fn axis_between(a: GridPoint, b: GridPoint) -> Option<Axis> {
     if a.x != b.x {
@@ -697,36 +440,80 @@ fn neighbor(dim: &af_geom::GridDim, gp: GridPoint, dir: Dir3) -> Option<(GridPoi
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
     use super::*;
     use crate::access::PinAccessMap;
     use crate::grid::RoutingGrid;
-    use crate::router::RouterConfig;
+    use crate::guidance::NonUniformGuidance;
+    use af_geom::CostTriple;
     use af_netlist::benchmarks;
     use af_place::{place, PlacementVariant};
     use af_tech::Technology;
     use proptest::prelude::*;
 
+    #[derive(PartialEq)]
+    struct HeapEntry {
+        f: f64,
+        g: f64,
+        node: usize,
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // min-heap on f, tie-break larger g first (deeper nodes explored first)
+            other
+                .f
+                .partial_cmp(&self.f)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| self.g.partial_cmp(&other.g).unwrap_or(Ordering::Equal))
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The correctness oracle for [`BucketQueue`]: an exact min-f binary
+    /// heap.
+    #[derive(Default)]
+    struct HeapOracle(BinaryHeap<HeapEntry>);
+
+    impl OpenList for HeapOracle {
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+
+        fn push(&mut self, f: f64, g: f64, node: usize) {
+            self.0.push(HeapEntry { f, g, node });
+        }
+
+        fn pop(&mut self) -> Option<(f64, f64, usize)> {
+            self.0.pop().map(|e| (e.f, e.g, e.node))
+        }
+
+        fn min_bound(&mut self) -> f64 {
+            self.0.peek().map_or(f64::INFINITY, |e| e.f)
+        }
+    }
+
     #[test]
     fn heap_is_min_on_f() {
-        let mut h = BinaryHeap::new();
-        h.push(HeapEntry {
-            f: 3.0,
-            g: 0.0,
-            node: 1,
-        });
-        h.push(HeapEntry {
-            f: 1.0,
-            g: 0.0,
-            node: 2,
-        });
-        h.push(HeapEntry {
-            f: 2.0,
-            g: 0.0,
-            node: 3,
-        });
-        assert_eq!(h.pop().unwrap().node, 2);
-        assert_eq!(h.pop().unwrap().node, 3);
-        assert_eq!(h.pop().unwrap().node, 1);
+        let mut h = HeapOracle::default();
+        h.push(3.0, 0.0, 1);
+        h.push(1.0, 0.0, 2);
+        h.push(2.0, 0.0, 3);
+        assert_eq!(h.min_bound(), 1.0);
+        assert_eq!(h.pop().unwrap().2, 2);
+        assert_eq!(h.pop().unwrap().2, 3);
+        assert_eq!(h.pop().unwrap().2, 1);
+        assert!(h.min_bound().is_infinite());
     }
 
     #[test]
@@ -770,7 +557,7 @@ mod tests {
 
     #[test]
     fn stamp_generation_wraps_safely() {
-        let mut b = SearchBuffers::default();
+        let mut b = SearchBuffers::<BucketQueue>::default();
         b.ensure(4);
         b.cur = u32::MAX;
         b.next_gen();
@@ -779,64 +566,90 @@ mod tests {
     }
 
     /// An admissible-cost config: reuse discount off and via cost ≥ 1 keep
-    /// every step cost ≥ the heuristic scale, so both engines are exact and
-    /// must agree on cost. Bends stay 0 because the bend term is
-    /// path-dependent (not part of the node relaxation invariant).
-    fn exact_cfg(open_list: OpenListKind, bidirectional: bool, via_cost: f64) -> RouterConfig {
-        // Legacy weak heuristic: keeps h admissible AND below the 0.5
-        // bidirectional threshold, so `bidirectional: true` really
-        // exercises the two-sided engine.
+    /// every step cost ≥ [`H_SCALE`], so both open lists are exact and must
+    /// agree on cost. Bends stay 0 because the bend term is path-dependent
+    /// (not part of the node relaxation invariant).
+    fn exact_cfg(via_cost: f64) -> RouterConfig {
         RouterConfig {
-            open_list,
-            bidirectional,
             reuse_discount: 1.0,
             bend_penalty: 0.0,
             via_cost,
-            guidance_aware_h: false,
             ..Default::default()
         }
     }
 
-    fn search_cost(
+    /// Searches with the bucket queue and the heap oracle, asserts they
+    /// agree on reachability and cost, and returns the bucket path.
+    fn parity_search(
         grid: &RoutingGrid,
+        guidance: &RoutingGuidance,
         cfg: &RouterConfig,
         net: NetId,
         sources: &[usize],
         targets: &[usize],
-    ) -> Option<(f64, usize)> {
+    ) -> Option<Vec<usize>> {
         let step = StepCost {
             grid,
-            guidance: &RoutingGuidance::None,
-            guidance_norm: 1.0,
+            guidance,
+            guidance_norm: guidance.scale_floor(net).recip(),
             cfg,
             net,
             mirror_net: None,
             enforce_mirror: false,
         };
-        let mut buffers = SearchBuffers::default();
-        search(&step, sources, targets, &mut buffers).map(|p| (p.cost, p.nodes.len()))
+        let bucket = search(
+            &step,
+            sources,
+            targets,
+            &mut SearchBuffers::<BucketQueue>::default(),
+        );
+        let heap = search(
+            &step,
+            sources,
+            targets,
+            &mut SearchBuffers::<HeapOracle>::default(),
+        );
+        match (bucket, heap) {
+            (None, None) => None,
+            (Some(b), Some(h)) => {
+                assert!(
+                    (b.cost - h.cost).abs() < 1e-6,
+                    "bucket cost {} != heap cost {} (sources {sources:?}, targets {targets:?})",
+                    b.cost,
+                    h.cost
+                );
+                Some(b.nodes)
+            }
+            (b, h) => panic!(
+                "reachability disagrees: bucket {:?}, heap {:?}",
+                b.map(|p| p.cost),
+                h.map(|p| p.cost)
+            ),
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Satellite: the bucketed open list returns paths whose cost equals
-        /// the `BinaryHeap` oracle's, across random endpoint pairs, via
-        /// costs, and engine dispositions (uni- and bidirectional).
+        /// The bucketed open list returns paths whose cost equals the
+        /// `BinaryHeap` oracle's at the production heuristic, unguided and
+        /// under random per-access-point guidance. Each case checks a
+        /// random access-point pair, then every Steiner step of a
+        /// multi-pin net the way `route_net` grows it: the sorted tree
+        /// nodes as sources, the remaining access points as targets.
         #[test]
         fn bucket_open_list_matches_heap_oracle(
             seed in 0usize..4096,
             via_cost in 1.0f64..5.0,
-            bidir_bit in 0usize..2,
+            guided_bit in 0usize..2,
         ) {
-            let bidirectional = bidir_bit == 1;
             let c = benchmarks::ota1();
             let p = place(&c, PlacementVariant::A);
             let tech = Technology::nm40();
             let mut grid = RoutingGrid::new(&c, &p, &tech, 2);
             let aps = PinAccessMap::extract(&c, &p, &mut grid);
-            // Endpoints must belong to the routed net; sample a multi-pin
-            // net and a pair of its access points from the seed.
+            // Endpoints must belong to the routed net (other nets' pins
+            // are impassable); sample a multi-pin net from the seed.
             let per_net: Vec<(NetId, Vec<usize>)> = (0..c.nets().len() as u32)
                 .map(NetId::new)
                 .map(|id| {
@@ -847,83 +660,44 @@ mod tests {
                         .collect();
                     (id, nodes)
                 })
-                .filter(|(_, nodes)| nodes.len() >= 2)
+                .filter(|(_, nodes)| nodes.len() >= 3)
                 .collect();
-            prop_assert!(!per_net.is_empty(), "ota1 must have multi-pin nets");
+            prop_assert!(!per_net.is_empty(), "ota1 must have nets with 3+ pins");
             let (net, nodes) = &per_net[seed % per_net.len()];
             let net = *net;
+            // Guided cases draw each triple component from the dataset's
+            // default guidance range [0.4, 2.2].
+            let mut guidance = NonUniformGuidance::new();
+            if guided_bit == 1 {
+                for (k, &node) in nodes.iter().enumerate() {
+                    let m = |axis: usize| 0.4 + ((seed + k * 7 + axis * 3) % 10) as f64 * 0.2;
+                    guidance.set(net, grid.node_dbu(node), CostTriple([m(0), m(1), m(2)]));
+                }
+            }
+            let guidance = RoutingGuidance::NonUniform(guidance);
+            let cfg = exact_cfg(via_cost);
+
             let s = nodes[(seed / 7) % nodes.len()];
             let t = nodes[(seed / 91) % nodes.len()];
+            parity_search(&grid, &guidance, &cfg, net, &[s], &[t]);
 
-            let bucket = search_cost(
-                &grid,
-                &exact_cfg(OpenListKind::Bucket, bidirectional, via_cost),
-                net,
-                &[s],
-                &[t],
-            );
-            let heap = search_cost(
-                &grid,
-                &exact_cfg(OpenListKind::Heap, bidirectional, via_cost),
-                net,
-                &[s],
-                &[t],
-            );
-            match (bucket, heap) {
-                (None, None) => {}
-                (Some((bc, _)), Some((hc, _))) => {
-                    prop_assert!(
-                        (bc - hc).abs() < 1e-6,
-                        "bucket cost {bc} != heap cost {hc} (s={s}, t={t})"
-                    );
+            let mut tree = vec![nodes[0]];
+            let mut remaining = nodes[1..].to_vec();
+            while !remaining.is_empty() {
+                tree.sort_unstable();
+                tree.dedup();
+                let found = parity_search(&grid, &guidance, &cfg, net, &tree, &remaining);
+                let Some(path) = found else {
+                    break;
+                };
+                for &n in &path {
+                    grid.claim(n, net);
                 }
-                other => prop_assert!(false, "reachability disagrees: {other:?}"),
+                let reached = *path.last().expect("path has nodes");
+                remaining.retain(|&r| r != reached);
+                tree.extend(path);
             }
+            prop_assert!(remaining.is_empty(), "every access point of the net is reachable");
         }
-    }
-
-    #[test]
-    fn bidirectional_matches_unidirectional_cost() {
-        let c = benchmarks::ota1();
-        let p = place(&c, PlacementVariant::A);
-        let tech = Technology::nm40();
-        let mut grid = RoutingGrid::new(&c, &p, &tech, 2);
-        let aps = PinAccessMap::extract(&c, &p, &mut grid);
-        // Endpoints must belong to the routed net — other nets' pins are
-        // impassable. Pick the first net with at least two access points.
-        let (net, nodes) = (0..c.nets().len() as u32)
-            .map(NetId::new)
-            .map(|id| {
-                let nodes: Vec<usize> = aps
-                    .of_net(id)
-                    .iter()
-                    .map(|ap| grid.dim().flat_index(ap.node))
-                    .collect();
-                (id, nodes)
-            })
-            .find(|(_, nodes)| nodes.len() >= 2)
-            .expect("ota1 has a multi-pin net");
-        let (s, t) = (nodes[0], nodes[nodes.len() - 1]);
-        let uni = search_cost(
-            &grid,
-            &exact_cfg(OpenListKind::Bucket, false, 3.0),
-            net,
-            &[s],
-            &[t],
-        );
-        let bi = search_cost(
-            &grid,
-            &exact_cfg(OpenListKind::Bucket, true, 3.0),
-            net,
-            &[s],
-            &[t],
-        );
-        let (Some((uc, _)), Some((bc, _))) = (uni, bi) else {
-            panic!("route between access points should exist: {uni:?} {bi:?}");
-        };
-        assert!(
-            (uc - bc).abs() < 1e-6,
-            "bidirectional cost {bc} != unidirectional cost {uc}"
-        );
     }
 }

@@ -88,20 +88,6 @@ impl NonUniformGuidance {
         best.map(|t| t[axis.index()]).unwrap_or(1.0)
     }
 
-    /// Smallest multiplier `net` can see anywhere, any axis (1.0 when the
-    /// net is unguided). A valid floor for admissible-heuristic scaling:
-    /// [`Self::multiplier`] always returns some triple's component when the
-    /// net has entries, so the minimum over all components bounds it.
-    pub fn min_multiplier(&self, net: NetId) -> f64 {
-        let Some(list) = self.entries.get(&(net.index() as u32)) else {
-            return 1.0;
-        };
-        list.iter()
-            .flat_map(|(_, t)| t.0)
-            .fold(1.0_f64, f64::min)
-            .max(0.0)
-    }
-
     /// Per-net normalization constant: the true minimum over the net's
     /// triple components, with no neutral-1.0 fold (nearest-AP lookup covers
     /// the whole plane, so a guided net never samples neutral). The router
@@ -222,16 +208,6 @@ impl RoutingGuidance {
         }
     }
 
-    /// Smallest multiplier `net` can see anywhere — the per-net floor the
-    /// guidance-aware A* heuristic scales by (see `RouterConfig::guidance_aware_h`).
-    pub fn min_multiplier(&self, net: NetId) -> f64 {
-        match self {
-            RoutingGuidance::None => 1.0,
-            RoutingGuidance::NonUniform(g) => g.min_multiplier(net),
-            RoutingGuidance::Map(m) => m.min_multiplier(net),
-        }
-    }
-
     /// Per-net normalization constant. The router divides every multiplier
     /// of `net` by this before costing a step, so guidance expresses only
     /// *relative* preferences: uniformly scaling a net's guidance is a
@@ -302,24 +278,28 @@ mod tests {
     #[test]
     fn min_multiplier_floors() {
         let net = NetId::new(3);
-        assert_eq!(RoutingGuidance::None.min_multiplier(net), 1.0);
+        assert_eq!(RoutingGuidance::None.scale_floor(net), 1.0);
 
+        // Non-uniform guidance floors at its true minimum, with no neutral
+        // 1.0 folded in: nearest-AP lookup never samples neutral.
         let mut g = NonUniformGuidance::new();
-        g.set(net, Point3::new(0, 0, 0), CostTriple([0.5, 2.0, 1.0]));
-        g.set(net, Point3::new(50, 0, 0), CostTriple([0.8, 0.9, 4.0]));
+        g.set(net, Point3::new(0, 0, 0), CostTriple([2.0, 4.0, 1.5]));
+        g.set(net, Point3::new(50, 0, 0), CostTriple([1.8, 1.9, 4.0]));
         let rg = RoutingGuidance::NonUniform(g);
-        assert_eq!(rg.min_multiplier(net), 0.5);
-        assert_eq!(rg.min_multiplier(NetId::new(9)), 1.0, "unguided is neutral");
+        assert_eq!(rg.scale_floor(net), 1.5);
+        assert_eq!(rg.scale_floor(NetId::new(9)), 1.0, "unguided is neutral");
 
         let mut m = GuidanceMap2D::new(2, 1, (0, 0), (100, 100));
         m.set_net(net, vec![0.25, 3.0]);
-        let rm = RoutingGuidance::Map(m);
-        assert_eq!(rm.min_multiplier(net), 0.25);
+        assert_eq!(m.min_multiplier(net), 0.25);
+        assert_eq!(RoutingGuidance::Map(m).scale_floor(net), 0.25);
         // expensive-everywhere maps still floor at the neutral 1.0 because
         // positions outside the window sample as 1.0
         let mut m2 = GuidanceMap2D::new(1, 1, (0, 0), (10, 10));
         m2.set_net(net, vec![5.0]);
-        assert_eq!(RoutingGuidance::Map(m2).min_multiplier(net), 1.0);
+        assert_eq!(m2.min_multiplier(net), 1.0);
+        assert_eq!(m2.min_multiplier(NetId::new(9)), 1.0, "unmapped is neutral");
+        assert_eq!(RoutingGuidance::Map(m2).scale_floor(net), 1.0);
     }
 
     #[test]

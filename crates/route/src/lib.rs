@@ -55,9 +55,7 @@ pub use def::{parse_def, write_def, DefParseError};
 pub use drc::{check_layout, Violation, ViolationKind};
 pub use grid::RoutingGrid;
 pub use guidance::{GuidanceMap2D, NonUniformGuidance, RoutingGuidance};
-pub use router::{
-    OpenListKind, RouteConfigError, RouteError, Router, RouterConfig, RouterConfigBuilder,
-};
+pub use router::{RouteConfigError, RouteError, Router, RouterConfig, RouterConfigBuilder};
 pub use svg::render_svg;
 
 use serde::{Deserialize, Serialize};

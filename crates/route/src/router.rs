@@ -30,17 +30,6 @@ use crate::post;
 use crate::view::{GridView, TaskView};
 use crate::{RoutedLayout, RoutedNet};
 
-/// Open-list engine for the A* inner loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum OpenListKind {
-    /// Bucketed queue keyed on quantized f-cost (default; O(1) push/pop).
-    #[default]
-    Bucket,
-    /// Classic binary heap — the correctness oracle for the bucket queue.
-    Heap,
-}
-
 /// Router tuning parameters.
 ///
 /// Construct via [`RouterConfig::builder`] (which validates on build) or
@@ -74,15 +63,6 @@ pub struct RouterConfig {
     /// runtime honors `AFRT_THREADS`, then the hardware parallelism. Every
     /// thread count produces bit-identical layouts.
     pub threads: usize,
-    /// Open-list engine for the A* inner loop.
-    pub open_list: OpenListKind,
-    /// Bidirectional search for plain two-pin connections whose heuristic
-    /// is too weak to steer a one-sided search.
-    pub bidirectional: bool,
-    /// Scale the A* heuristic by the normalized per-net guidance floor
-    /// (unit, because multipliers are normalized scale-free per net) instead
-    /// of the global `min_guidance` floor — much sharper pruning.
-    pub guidance_aware_h: bool,
 }
 
 impl RouterConfig {
@@ -163,9 +143,6 @@ impl Default for RouterConfig {
             max_iterations: 24,
             enforce_symmetry: true,
             threads: 1,
-            open_list: OpenListKind::Bucket,
-            bidirectional: true,
-            guidance_aware_h: true,
         }
     }
 }
@@ -252,27 +229,6 @@ impl RouterConfigBuilder {
     #[must_use]
     pub fn threads(mut self, v: usize) -> Self {
         self.cfg.threads = v;
-        self
-    }
-
-    /// Open-list engine for the A* inner loop.
-    #[must_use]
-    pub fn open_list(mut self, v: OpenListKind) -> Self {
-        self.cfg.open_list = v;
-        self
-    }
-
-    /// Bidirectional search for weakly-guided two-pin connections.
-    #[must_use]
-    pub fn bidirectional(mut self, v: bool) -> Self {
-        self.cfg.bidirectional = v;
-        self
-    }
-
-    /// Per-net guidance-aware heuristic scaling.
-    #[must_use]
-    pub fn guidance_aware_h(mut self, v: bool) -> Self {
-        self.cfg.guidance_aware_h = v;
         self
     }
 
@@ -1137,39 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn open_list_engines_route_equivalently() {
-        // Different engines may legally differ on cost ties, but both must
-        // converge to clean layouts of comparable quality.
-        let c = benchmarks::ota1();
-        let p = place(&c, PlacementVariant::A);
-        let bucket = route_with(
-            &c,
-            &p,
-            RouterConfig::builder()
-                .open_list(OpenListKind::Bucket)
-                .build()
-                .unwrap(),
-        );
-        let heap = route_with(
-            &c,
-            &p,
-            RouterConfig::builder()
-                .open_list(OpenListKind::Heap)
-                .build()
-                .unwrap(),
-        );
-        assert!(bucket.is_clean() && heap.is_clean());
-        let (wb, wh) = (
-            bucket.total_wirelength() as f64,
-            heap.total_wirelength() as f64,
-        );
-        assert!(
-            (wb - wh).abs() / wb.max(wh) < 0.2,
-            "engines diverged: {wb} vs {wh}"
-        );
-    }
-
-    #[test]
     fn guidance_changes_routing() {
         use crate::guidance::NonUniformGuidance;
         use af_geom::CostTriple;
@@ -1211,12 +1134,12 @@ mod tests {
         let cfg = RouterConfig::builder()
             .threads(3)
             .via_cost(5.0)
-            .bidirectional(false)
+            .enforce_symmetry(false)
             .build()
             .unwrap();
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.via_cost, 5.0);
-        assert!(!cfg.bidirectional);
+        assert!(!cfg.enforce_symmetry);
 
         let err = RouterConfig::builder().coarsen(0).build().unwrap_err();
         assert_eq!(err, RouteConfigError::Coarsen { got: 0 });
