@@ -14,8 +14,9 @@
 //!   `crates/serve`).
 //! - **Tier C (flow/dataset)** — [`EvalCache`] memoizes guidance→route
 //!   results (`route → extract → simulate` → [`Performance`]) by
-//!   `(design hash, guidance key)`, with optional disk spill so dataset
-//!   generation shards and resumed runs skip already-routed samples.
+//!   `(design hash, guidance key)`, optionally spilling to a
+//!   [`ShardStore`] so dataset generation shards and resumed runs skip
+//!   already-routed samples.
 //!
 //! All tiers respect the process-wide [`set_cache_enabled`] switch
 //! (`--no-cache` on the CLI).
@@ -23,13 +24,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use af_cache::persist::SpillBackend;
 use af_cache::{Cache, CacheBuilder, CacheStats, ContentHash, ContentHasher, FnWeigher};
 use af_route::RouterConfig;
 use af_sim::{Performance, SimConfig};
 
 use crate::gnn::GraphTensors;
 use crate::hetero::HeteroGraph;
+use crate::persist::ShardStore;
 
 static CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -198,30 +199,17 @@ pub fn design_eval_hash(
     h.finish()
 }
 
-/// Tier-C sample key: `(design hash, quantized C)`.
-///
-/// `quant == 0.0` (the default everywhere determinism matters) keys by the
-/// exact bit pattern of the guidance, so a hit is guaranteed bit-identical
-/// to recomputation. A positive `quant` snaps each component to that grid
-/// before hashing — higher hit rates for near-duplicate guidance across
-/// runs, at the cost of returning the result of a grid-neighbor instead of
-/// the exact input. Only enable it for workloads that tolerate that
-/// (e.g. exploratory sweeps), never under a determinism contract.
+/// Tier-C sample key: `(design hash, C)`, keyed by the exact bit pattern
+/// of the guidance, so a hit is guaranteed bit-identical to recomputation.
+/// Spilled entries outlive the process, so the hashed byte stream is part
+/// of the on-disk format.
 #[must_use]
-pub fn guidance_key(design: &ContentHash, guidance: &[f64], quant: f64) -> ContentHash {
+pub fn guidance_key(design: &ContentHash, guidance: &[f64]) -> ContentHash {
     let mut h = ContentHasher::new();
     h.write_str("guidance");
     h.write_u64(design.0[0]);
     h.write_u64(design.0[1]);
-    if quant > 0.0 {
-        h.write_f64(quant);
-        h.write_usize(guidance.len());
-        for &c in guidance {
-            h.write_f64((c / quant).round() * quant);
-        }
-    } else {
-        h.write_f64_slice(guidance);
-    }
+    h.write_f64_slice(guidance);
     h.finish()
 }
 
@@ -312,7 +300,7 @@ impl FomMemo {
 /// [`design_eval_hash`] / [`guidance_key`] for the keying.
 pub struct EvalCache {
     mem: Cache<ContentHash, Performance>,
-    spill: Option<Arc<dyn SpillBackend>>,
+    spill: Option<ShardStore>,
 }
 
 impl EvalCache {
@@ -327,17 +315,17 @@ impl EvalCache {
         }
     }
 
-    /// Adds a disk-spill backend (e.g. the dataset checkpoint
-    /// [`crate::ShardStore`]): stores write through to disk, and an
-    /// in-memory miss consults the backend before giving up — that is what
-    /// lets a *resumed* run skip samples an earlier process already routed.
+    /// Spills to `store` (the dataset checkpoint's cache directory):
+    /// stores write through to disk, and an in-memory miss consults the
+    /// store before giving up — that is what lets a *resumed* run skip
+    /// samples an earlier process already routed.
     #[must_use]
-    pub fn with_spill(mut self, spill: Arc<dyn SpillBackend>) -> Self {
-        self.spill = Some(spill);
+    pub fn with_spill(mut self, store: ShardStore) -> Self {
+        self.spill = Some(store);
         self
     }
 
-    /// Looks up a performance by key: memory first, then the spill backend
+    /// Looks up a performance by key: memory first, then the spill store
     /// (promoting a disk hit into memory). Corrupt or unreadable spill
     /// entries degrade to a miss.
     #[must_use]
@@ -346,7 +334,7 @@ impl EvalCache {
             return Some(perf);
         }
         let spill = self.spill.as_ref()?;
-        let bytes = spill.get(key).ok().flatten()?;
+        let bytes = spill.spill_get(key).ok().flatten()?;
         let text = String::from_utf8(bytes).ok()?;
         let perf: Performance = serde_json::from_str(&text).ok()?;
         af_obs::counter("cache.eval.spill_hits", 1);
@@ -359,7 +347,7 @@ impl EvalCache {
         self.mem.insert(key, *perf);
         if let Some(spill) = &self.spill {
             if let Ok(text) = serde_json::to_string(perf) {
-                if spill.put(&key, text.as_bytes()).is_ok() {
+                if spill.spill_put(&key, text.as_bytes()).is_ok() {
                     af_obs::counter("cache.eval.spill_stores", 1);
                 }
             }
@@ -494,27 +482,32 @@ mod tests {
     }
 
     #[test]
-    fn guidance_key_quantization_semantics() {
+    fn guidance_key_is_exact_and_design_scoped() {
         let g = graph();
         let design = design_eval_hash(&g, &RouterConfig::default(), &SimConfig::default());
         let c1 = vec![1.0, 2.0, 3.0];
         let mut c2 = c1.clone();
         c2[0] += 1e-13;
         // Exact keying: any bit difference is a different key.
-        assert_ne!(
-            guidance_key(&design, &c1, 0.0),
-            guidance_key(&design, &c2, 0.0)
-        );
-        // Quantized keying: grid neighbors collapse onto one key.
-        assert_eq!(
-            guidance_key(&design, &c1, 1e-6),
-            guidance_key(&design, &c2, 1e-6)
-        );
+        assert_ne!(guidance_key(&design, &c1), guidance_key(&design, &c2));
         // Different designs never share keys.
         let other = ContentHash::of_bytes(b"other design");
-        assert_ne!(
-            guidance_key(&design, &c1, 0.0),
-            guidance_key(&other, &c1, 0.0)
+        assert_ne!(guidance_key(&design, &c1), guidance_key(&other, &c1));
+    }
+
+    #[test]
+    fn guidance_key_bytes_are_frozen() {
+        // Tier-C entries spill to disk under this key; a changed byte
+        // stream would silently orphan every checkpoint's warm cache.
+        let design = ContentHash([0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210]);
+        let c = [0.4, 1.0, 2.2, std::f64::consts::FRAC_1_SQRT_2, 1.5e-3];
+        assert_eq!(
+            guidance_key(&design, &c).to_hex(),
+            "45fffb04842f3dd16fea41bb3aa7e11e"
+        );
+        assert_eq!(
+            guidance_key(&design, &[]).to_hex(),
+            "95d211cf42d2f58e9e608c77a4e4edfe"
         );
     }
 
@@ -542,7 +535,7 @@ mod tests {
         let key = ContentHash::of_bytes(b"sample");
         let dir = std::env::temp_dir().join(format!("af-evalcache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let spill = Arc::new(af_cache::persist::DirSpill::new(&dir).unwrap());
+        let spill = ShardStore::new(&dir);
 
         let warm = EvalCache::new(4).with_spill(spill.clone());
         assert!(warm.lookup(&key).is_none());

@@ -204,12 +204,6 @@ pub struct DatasetConfig {
     /// disk beside the shards, so resumed runs and sibling shards skip
     /// already-routed samples.
     pub cache_mb: u64,
-    /// Guidance quantization grid for cache keys. `0.0` (default) keys by
-    /// the exact guidance bits — hits are guaranteed bit-identical to
-    /// recomputation, preserving the determinism contract. A positive grid
-    /// collapses near-duplicate guidance onto one key (higher hit rates,
-    /// approximate labels); only for exploratory sweeps.
-    pub cache_quant: f64,
     /// Retry policy for transiently-failing sample evaluations (injected
     /// faults, worker panics). Retries recompute from the sample's own
     /// seed, so a retried sample is bit-identical to an untroubled one.
@@ -228,7 +222,6 @@ impl Default for DatasetConfig {
             threads: 0,
             shard_size: 32,
             cache_mb: 64,
-            cache_quant: 0.0,
             retry: af_fault::RetryPolicy {
                 max_attempts: 3,
                 base_delay_ms: 2,
@@ -374,7 +367,7 @@ struct EvalCtx<'a> {
 impl<'a> EvalCtx<'a> {
     /// Builds the context, wiring the tier-C guidance→performance memo to
     /// spill beside `spill`'s shards when a store is given. The memo never
-    /// changes results (exact-bits keys at `cache_quant == 0.0`), so its
+    /// changes results (its keys are the exact guidance bits), so its
     /// presence or absence preserves bit-identity.
     fn new(
         circuit: &'a Circuit,
@@ -388,9 +381,7 @@ impl<'a> EvalCtx<'a> {
         let eval_cache = (cfg.cache_mb > 0 && crate::cache::cache_enabled()).then(|| {
             let cache = crate::cache::EvalCache::new(cfg.cache_mb);
             match spill {
-                Some(store) => cache.with_spill(std::sync::Arc::new(ShardStore::new(
-                    store.dir().join("cache"),
-                ))),
+                Some(store) => cache.with_spill(ShardStore::new(store.dir().join("cache"))),
                 None => cache,
             }
         });
@@ -428,7 +419,6 @@ impl<'a> EvalCtx<'a> {
                     crate::cache::guidance_key(
                         self.design.as_ref().expect("design hash set with cache"),
                         &guidance,
-                        cfg.cache_quant,
                     )
                 });
                 // Retry transient failures. The `sim.eval` failpoint is

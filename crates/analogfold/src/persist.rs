@@ -100,8 +100,8 @@ fn load<T: DeserializeOwned>(path: &Path) -> Result<T, PersistError> {
 ///
 /// # Crash-consistency contract
 ///
-/// Every write ([`ShardStore::save_shard`] and spill `put`) follows the
-/// full durable-rename discipline:
+/// Every write ([`ShardStore::save_shard`] and [`ShardStore::spill_put`])
+/// follows the full durable-rename discipline:
 ///
 /// 1. write the payload to a temporary file in the same directory,
 /// 2. `sync_all()` the temporary file (so the *data* is on disk before any
@@ -271,6 +271,51 @@ impl ShardStore {
     pub fn has_shard(&self, index: usize) -> bool {
         self.shard_path(index).exists()
     }
+
+    fn spill_path(&self, key: &af_cache::ContentHash) -> std::path::PathBuf {
+        self.dir.join(format!("{}.spill", key.to_hex()))
+    }
+
+    /// Content-addressed spill: persists `bytes` as one `<hex>.spill` file
+    /// per key beside the numbered shards, replacing any previous blob,
+    /// atomically and durably like the shards themselves. This is what lets
+    /// flow/dataset caches persist next to the checkpoints they memoize.
+    /// The last writer of a key wins; a key only ever maps to one logical
+    /// content.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem failures that survive retrying.
+    pub fn spill_put(&self, key: &af_cache::ContentHash, bytes: &[u8]) -> std::io::Result<()> {
+        let tmp = self
+            .dir
+            .join(format!(".{}.{:x}.tmp", key.to_hex(), std::process::id()));
+        let final_path = self.spill_path(key);
+        self.retry.run(
+            "persist.spill",
+            |_e: &std::io::Error| true,
+            |_attempt| {
+                af_fault::fail!(
+                    "persist.spill",
+                    std::io::Error::other(af_fault::injected("persist.spill"))
+                );
+                write_durable(&self.dir, &tmp, &final_path, bytes)
+            },
+        )
+    }
+
+    /// Fetches the spilled blob for `key`; `Ok(None)` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem failures other than "not found".
+    pub fn spill_get(&self, key: &af_cache::ContentHash) -> std::io::Result<Option<Vec<u8>>> {
+        match fs::read(self.spill_path(key)) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// The versioned save envelope: format tag, version, and a 128-bit content
@@ -302,38 +347,6 @@ fn header_u64(v: &Value, key: &str) -> Result<u64, PersistError> {
         _ => Err(PersistError::Header(format!(
             "missing or non-integer `{key}` field"
         ))),
-    }
-}
-
-/// Content-addressed spill through a [`ShardStore`] directory: one
-/// `<hex>.spill` file per [`af_cache::ContentHash`] beside the numbered
-/// shards, written atomically like the shards themselves. This is what lets
-/// flow/dataset caches persist next to the checkpoints they memoize.
-impl af_cache::persist::SpillBackend for ShardStore {
-    fn put(&self, key: &af_cache::ContentHash, bytes: &[u8]) -> std::io::Result<()> {
-        let tmp = self
-            .dir
-            .join(format!(".{}.{:x}.tmp", key.to_hex(), std::process::id()));
-        let final_path = self.dir.join(format!("{}.spill", key.to_hex()));
-        self.retry.run(
-            "persist.spill",
-            |_e: &std::io::Error| true,
-            |_attempt| {
-                af_fault::fail!(
-                    "persist.spill",
-                    std::io::Error::other(af_fault::injected("persist.spill"))
-                );
-                write_durable(&self.dir, &tmp, &final_path, bytes)
-            },
-        )
-    }
-
-    fn get(&self, key: &af_cache::ContentHash) -> std::io::Result<Option<Vec<u8>>> {
-        match fs::read(self.dir.join(format!("{}.spill", key.to_hex()))) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -666,6 +679,40 @@ mod tests {
         std::fs::write(store.shard_path(2), "{truncated").unwrap();
         assert!(store.load_shard::<Vec<u32>>(2).unwrap().is_none());
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn spill_put_get_round_trips() {
+        let dir = tmp("spill-roundtrip");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ShardStore::new(&dir);
+        let key = af_cache::ContentHash::of_bytes(b"some canonical content");
+        assert_eq!(store.spill_get(&key).unwrap(), None);
+        store.spill_put(&key, b"payload").unwrap();
+        assert_eq!(
+            store.spill_get(&key).unwrap().as_deref(),
+            Some(&b"payload"[..])
+        );
+        store.spill_put(&key, b"replaced").unwrap();
+        assert_eq!(
+            store.spill_get(&key).unwrap().as_deref(),
+            Some(&b"replaced"[..])
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn spill_distinct_keys_do_not_collide() {
+        let dir = tmp("spill-distinct");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ShardStore::new(&dir);
+        let a = af_cache::ContentHash::of_bytes(b"a");
+        let b = af_cache::ContentHash::of_bytes(b"b");
+        store.spill_put(&a, b"A").unwrap();
+        store.spill_put(&b, b"B").unwrap();
+        assert_eq!(store.spill_get(&a).unwrap().as_deref(), Some(&b"A"[..]));
+        assert_eq!(store.spill_get(&b).unwrap().as_deref(), Some(&b"B"[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

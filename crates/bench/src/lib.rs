@@ -161,21 +161,6 @@ pub fn route_threads_arg(args: &[String]) -> usize {
     kv_num(args, "route_threads", 0) as usize
 }
 
-/// Parses a `cache=N` driver argument: the memoization-cache capacity in
-/// MiB handed to the flow/serve configuration under test. `cache=0`
-/// disables caching for the whole process (flipping
-/// [`analogfold::set_cache_enabled`] off), which is the honest baseline
-/// when measuring raw compute throughput. Caching never changes results —
-/// cached and uncached runs are bit-identical — so the knob only moves
-/// wall-clock numbers.
-pub fn cache_arg(args: &[String], default: u64) -> u64 {
-    let mb = kv_num(args, "cache", default);
-    if mb == 0 {
-        analogfold::set_cache_enabled(false);
-    }
-    mb
-}
-
 /// Parses an `obs=<path>` driver argument: installs a JSONL observability
 /// sink writing events to `<path>` and returns the guard that keeps it
 /// installed (hold it for the duration of the run). `None` — observability
@@ -187,26 +172,6 @@ pub fn obs_arg(args: &[String]) -> Option<af_obs::ObsGuard> {
         Ok(sink) => Some(af_obs::install(std::sync::Arc::new(sink))),
         Err(err) => {
             eprintln!("warning: cannot create obs sink `{path}`: {err}");
-            None
-        }
-    }
-}
-
-/// Parses a `fault=SPEC` driver argument: arms the [`af_fault`] failpoint
-/// registry from the spec (seeded by an optional `fault_seed=N`, default
-/// `0`) so a bench can measure error rate and tail latency under injected
-/// faults. Returns the spec for inclusion in the report; `None` — fault
-/// injection stays disarmed — when the argument is absent or malformed.
-pub fn fault_arg(args: &[String]) -> Option<String> {
-    let spec = kv_arg(args, "fault")?;
-    af_fault::set_seed(kv_num(args, "fault_seed", 0));
-    match af_fault::arm_spec(spec) {
-        Ok(n) => {
-            eprintln!("fault injection armed: {n} failpoint(s) from `{spec}`");
-            Some(spec.to_string())
-        }
-        Err(err) => {
-            eprintln!("warning: bad fault spec `{spec}`: {err}");
             None
         }
     }
@@ -448,18 +413,6 @@ mod tests {
         assert_eq!(threads_arg(&args(&["threads=0"])), 0);
         assert_eq!(threads_arg(&args(&["quick"])), 0, "default is auto");
         assert_eq!(threads_arg(&args(&["threads=x"])), 0, "garbage is auto");
-    }
-
-    #[test]
-    fn cache_arg_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(cache_arg(&args(&["quick", "cache=128"]), 64), 128);
-        assert_eq!(cache_arg(&args(&["quick"]), 64), 64, "default");
-        assert_eq!(cache_arg(&args(&["cache=0"]), 64), 0, "explicit off");
-        // `cache=0` flipped the process-wide kill switch; restore it so
-        // other tests see the default-enabled state.
-        assert!(!analogfold::cache_enabled());
-        analogfold::set_cache_enabled(true);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! design while most of the inputs never change; af-serve replays identical
 //! predict/guide requests under load; dataset generation re-routes identical
 //! guidance on resume. This crate is the shared answer: a sharded LRU core
-//! with size-aware admission, optional TTL, generation-based invalidation,
-//! and a stable 128-bit content hash for canonical keying, plus an optional
-//! disk-spill trait for cross-run warm caches.
+//! with size-aware admission and a stable 128-bit content hash for
+//! canonical keying. Disk spill for cross-run warm caches lives with its
+//! one caller, `analogfold`'s checkpoint store.
 //!
 //! Design rules:
 //!
@@ -24,7 +24,7 @@
 //!   fits. The bound holds per shard so the global bound holds too.
 //! - **Observable.** When an [`af_obs`] sink is installed, every cache
 //!   emits `cache.hits` / `cache.misses` / `cache.evictions` /
-//!   `cache.insertions` / `cache.rejected` / `cache.expired` counters, a
+//!   `cache.insertions` / `cache.rejected` counters, a
 //!   `cache.bytes` gauge, and a `cache.lookup_us` latency histogram (plus
 //!   the same set name-scoped under `cache.<name>.*`). With no sink the
 //!   hot path costs one relaxed atomic load.
@@ -48,7 +48,6 @@
 //! ```
 
 mod hash;
-pub mod persist;
 pub mod ring;
 
 pub use hash::{ContentHash, ContentHasher};
@@ -57,8 +56,8 @@ pub use ring::Ring;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 /// Computes the admission weight of an entry, in the unit the cache's
 /// capacity is expressed in (bytes for size-aware caches, `1` for
@@ -66,8 +65,7 @@ use std::time::{Duration, Instant};
 /// not change weight while cached.
 pub trait Weigher<K, V>: Send + Sync {
     /// The weight of `(key, value)`. Zero-weight entries are allowed and
-    /// never evicted by size pressure alone (only by LRU order, TTL, or
-    /// invalidation).
+    /// never evicted by size pressure alone (only by LRU order).
     fn weigh(&self, key: &K, value: &V) -> u64;
 }
 
@@ -89,23 +87,17 @@ impl<K, V, F: Fn(&K, &V) -> u64 + Send + Sync> Weigher<K, V> for FnWeigher<F> {
     }
 }
 
-/// Monotonic nanosecond clock used for TTL decisions. Injectable so tests
-/// can expire entries without sleeping.
-pub type Clock = Arc<dyn Fn() -> u64 + Send + Sync>;
-
 /// A point-in-time snapshot of a cache's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a live value.
     pub hits: u64,
-    /// Lookups that found nothing (including expired / invalidated entries).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Values admitted into the cache.
     pub insertions: u64,
     /// Entries removed to make room for newer ones.
     pub evictions: u64,
-    /// Entries dropped because their TTL had lapsed when touched.
-    pub expired: u64,
     /// Insertions refused because a single entry outweighed a whole shard.
     pub rejected: u64,
     /// Live entries right now.
@@ -133,8 +125,6 @@ struct Entry<K, V> {
     key: K,
     value: V,
     weight: u64,
-    expires_at: Option<u64>,
-    generation: u64,
     prev: usize,
     next: usize,
 }
@@ -219,28 +209,23 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     }
 }
 
-/// Builds a [`Cache`]. All knobs have sensible defaults: 16 MiB capacity,
-/// a power-of-two shard count sized to available parallelism, no TTL, a
-/// monotonic process clock.
+/// Builds a [`Cache`]. Both knobs have sensible defaults: 16 MiB capacity
+/// and a power-of-two shard count sized to available parallelism.
 pub struct CacheBuilder {
     name: String,
     capacity: u64,
     shards: usize,
-    ttl: Option<Duration>,
-    clock: Option<Clock>,
 }
 
 impl CacheBuilder {
     /// Starts a builder. `name` scopes this cache's obs metrics
-    /// (`cache.<name>.hits` etc.) and appears in spill filenames.
+    /// (`cache.<name>.hits` etc.).
     #[must_use]
     pub fn new(name: &str) -> Self {
         Self {
             name: name.to_string(),
             capacity: 16 << 20,
             shards: 0,
-            ttl: None,
-            clock: None,
         }
     }
 
@@ -251,10 +236,11 @@ impl CacheBuilder {
         self
     }
 
-    /// Total capacity in MiB — the unit exposed by `--cache-mb`.
+    /// Total capacity in MiB — the unit exposed by `--cache-mb`. Sizes past
+    /// `u64::MAX` bytes saturate rather than wrap.
     #[must_use]
     pub fn capacity_mb(self, mb: u64) -> Self {
-        self.capacity_bytes(mb << 20)
+        self.capacity_bytes(mb.saturating_mul(1 << 20))
     }
 
     /// Shard count; rounded up to a power of two, minimum 1. `0` (default)
@@ -262,25 +248,6 @@ impl CacheBuilder {
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Entries expire this long after insertion. Default: never. TTL uses
-    /// the cache clock, so results stay deterministic under the default
-    /// monotonic clock only if entries cannot expire mid-run — prefer no
-    /// TTL for memoization tiers and reserve TTL for serving.
-    #[must_use]
-    pub fn ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = Some(ttl);
-        self
-    }
-
-    /// Replaces the monotonic clock (nanoseconds, starting anywhere) used
-    /// for TTL. Tests inject a hand-cranked clock to expire entries
-    /// deterministically.
-    #[must_use]
-    pub fn clock(mut self, clock: Clock) -> Self {
-        self.clock = Some(clock);
         self
     }
 
@@ -303,28 +270,18 @@ impl CacheBuilder {
             self.shards
         };
         let n_shards = requested.next_power_of_two().max(1);
-        let clock = self.clock.unwrap_or_else(|| {
-            let start = Instant::now();
-            Arc::new(move || u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
-        });
         Cache {
             name: self.name,
             shards: (0..n_shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_mask: n_shards - 1,
             per_shard_capacity: (self.capacity / n_shards as u64).max(1),
             weigher: Box::new(weigher),
-            ttl_nanos: self
-                .ttl
-                .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-            clock,
-            generation: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         }
     }
@@ -340,16 +297,12 @@ pub struct Cache<K, V> {
     shard_mask: usize,
     per_shard_capacity: u64,
     weigher: Box<dyn Weigher<K, V>>,
-    ttl_nanos: Option<u64>,
-    clock: Clock,
-    generation: AtomicU64,
     bytes: AtomicU64,
     entries: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    expired: AtomicU64,
     rejected: AtomicU64,
 }
 
@@ -369,47 +322,23 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. Expired or
-    /// invalidated entries are removed and count as misses.
+    /// Looks up `key`, refreshing its recency on a hit.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
         let timer = af_obs::enabled().then(Instant::now);
-        let now = (self.clock)();
-        let generation = self.generation.load(Ordering::Acquire);
         let mut shard = self
             .shard_for(key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let result = match shard.map.get(key).copied() {
-            None => None,
-            Some(idx) => {
-                let (stale, dead) = {
-                    let e = shard.slots[idx].as_ref().expect("mapped slot is live");
-                    let dead = e.expires_at.is_some_and(|t| now >= t);
-                    (e.generation != generation, dead)
-                };
-                if stale || dead {
-                    let freed = shard.remove(idx);
-                    self.entries.fetch_sub(1, Ordering::Relaxed);
-                    self.bytes.fetch_sub(freed, Ordering::Relaxed);
-                    if dead {
-                        self.expired.fetch_add(1, Ordering::Relaxed);
-                        self.obs_counter("expired", 1);
-                    }
-                    None
-                } else {
-                    shard.unlink(idx);
-                    shard.push_front(idx);
-                    Some(
-                        shard.slots[idx]
-                            .as_ref()
-                            .expect("refreshed slot is live")
-                            .value
-                            .clone(),
-                    )
-                }
-            }
-        };
+        let result = shard.map.get(key).copied().map(|idx| {
+            shard.unlink(idx);
+            shard.push_front(idx);
+            shard.slots[idx]
+                .as_ref()
+                .expect("refreshed slot is live")
+                .value
+                .clone()
+        });
         drop(shard);
         if result.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -448,8 +377,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             self.obs_counter("rejected", 1);
             return;
         }
-        let now = (self.clock)();
-        let generation = self.generation.load(Ordering::Acquire);
         let mut evicted = 0u64;
         {
             // Global byte/entry accounting happens under the shard lock so
@@ -479,8 +406,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
                 key,
                 value,
                 weight,
-                expires_at: self.ttl_nanos.map(|ttl| now.saturating_add(ttl)),
-                generation,
                 prev: NIL,
                 next: NIL,
             });
@@ -523,32 +448,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         value
     }
 
-    /// Logically drops every current entry in O(1) by bumping the cache
-    /// generation; stale entries are reclaimed lazily on access or by size
-    /// pressure. Use after anything that changes the meaning of existing
-    /// keys (model reload, tech change).
-    pub fn invalidate_all(&self) {
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        self.obs_counter("invalidations", 1);
-    }
-
-    /// Eagerly removes every entry and returns the memory immediately.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let removed = shard.map.len() as u64;
-            let freed = shard.bytes;
-            shard.map.clear();
-            shard.slots.clear();
-            shard.free.clear();
-            shard.head = NIL;
-            shard.tail = NIL;
-            shard.bytes = 0;
-            self.entries.fetch_sub(removed, Ordering::Relaxed);
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-    }
-
     /// Live entry count.
     #[must_use]
     pub fn len(&self) -> u64 {
@@ -587,7 +486,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
@@ -659,51 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_never_serves_expired_entries() {
-        let now = Arc::new(AtomicU64::new(0));
-        let clock_now = Arc::clone(&now);
-        let c: Cache<u64, u64> = CacheBuilder::new("ttl")
-            .capacity_bytes(16)
-            .shards(1)
-            .ttl(Duration::from_nanos(100))
-            .clock(Arc::new(move || clock_now.load(Ordering::SeqCst)))
-            .build();
-        c.insert(1, 1);
-        now.store(99, Ordering::SeqCst);
-        assert_eq!(c.get(&1), Some(1), "still live just before the deadline");
-        now.store(100, Ordering::SeqCst);
-        assert_eq!(c.get(&1), None, "expired exactly at the deadline");
-        assert_eq!(c.stats().expired, 1);
-        assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn invalidate_all_hides_old_generation() {
-        let c = count_cache(8);
-        c.insert(1, 1);
-        c.insert(2, 2);
-        c.invalidate_all();
-        assert_eq!(c.get(&1), None);
-        c.insert(1, 10);
-        assert_eq!(c.get(&1), Some(10));
-        assert_eq!(c.get(&2), None, "stale entry reclaimed lazily");
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn clear_frees_everything_eagerly() {
-        let c = count_cache(8);
-        c.insert(1, 1);
-        c.insert(2, 2);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.bytes(), 0);
-        assert_eq!(c.get(&1), None);
-        c.insert(3, 3);
-        assert_eq!(c.get(&3), Some(3));
-    }
-
-    #[test]
     fn memoization_runs_compute_once_per_key() {
         let c = count_cache(8);
         let mut calls = 0;
@@ -726,6 +579,22 @@ mod tests {
         let _ = c.get(&1);
         let _ = c.get(&2);
         assert!((c.stats().hit_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn capacity_mb_saturates_instead_of_wrapping() {
+        // 2^44 MiB is 2^64 bytes: a plain shift wraps to a zero-byte cache
+        // that rejects every insert.
+        let c: Cache<u64, u64> = CacheBuilder::new("huge")
+            .capacity_mb(1 << 44)
+            .shards(1)
+            .build_weighed(FnWeigher(|_k: &u64, _v: &u64| 1 << 20));
+        assert_eq!(c.capacity(), u64::MAX);
+        c.insert(1, 1);
+        assert_eq!(c.get(&1), Some(1));
+        assert_eq!(c.stats().rejected, 0);
+        let small: Cache<u64, u64> = CacheBuilder::new("small").capacity_mb(3).shards(1).build();
+        assert_eq!(small.capacity(), 3 << 20);
     }
 
     #[test]

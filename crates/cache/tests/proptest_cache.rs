@@ -1,13 +1,10 @@
 //! Property-based tests of the LRU/admission core: capacity is a hard
 //! ceiling under arbitrary operation interleavings, get-after-put round
-//! trips, TTL never serves an expired entry, and concurrent hammering
-//! neither panics nor deadlocks.
+//! trips, and concurrent hammering neither panics nor deadlocks.
 
 use af_cache::{Cache, CacheBuilder, FnWeigher};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Applies a random op sequence to a size-weighed cache and a reference
 /// model, checking the invariants after every step.
@@ -79,37 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn ttl_never_serves_expired_entries(
-        ttl in 1u64..1000,
-        steps in prop::collection::vec((0u64..50, 0u64..300), 1..100),
-    ) {
-        let now = Arc::new(AtomicU64::new(0));
-        let clock_now = Arc::clone(&now);
-        let cache: Cache<u64, u64> = CacheBuilder::new("prop-ttl")
-            .capacity_bytes(4096)
-            .ttl(Duration::from_nanos(ttl))
-            .clock(Arc::new(move || clock_now.load(Ordering::SeqCst)))
-            .build();
-        let mut inserted_at: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for &(key, advance) in &steps {
-            let t = now.load(Ordering::SeqCst) + advance;
-            now.store(t, Ordering::SeqCst);
-            if key % 2 == 0 {
-                cache.insert(key, key);
-                inserted_at.insert(key, t);
-            } else if let Some(v) = cache.get(&key) {
-                let born = inserted_at[&key];
-                prop_assert!(
-                    t < born + ttl,
-                    "served key {} at t={} but it expired at {}",
-                    key, t, born + ttl
-                );
-                prop_assert_eq!(v, key);
-            }
-        }
-    }
-
-    #[test]
     fn concurrent_hammering_never_panics_or_deadlocks(
         seed in 0u64..1000,
         n_threads in 2usize..6,
@@ -125,26 +91,19 @@ proptest! {
                 let cache = Arc::clone(&cache);
                 scope.spawn(move || {
                     let mut x = seed.wrapping_add(t as u64).wrapping_mul(2862933555777941757).wrapping_add(1);
-                    for i in 0..500u64 {
+                    for _ in 0..500u64 {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                         let key = x % 64;
-                        match x % 5 {
+                        match x % 4 {
                             0 | 1 => cache.insert(key, vec![key as u8; (x % 48) as usize]),
                             2 => {
                                 if let Some(v) = cache.get(&key) {
                                     assert!(v.iter().all(|&b| b == key as u8));
                                 }
                             }
-                            3 => {
+                            _ => {
                                 let v = cache.get_or_insert_with(key, || vec![key as u8; 8]);
                                 assert!(v.iter().all(|&b| b == key as u8));
-                            }
-                            _ => {
-                                if i % 97 == 0 {
-                                    cache.invalidate_all();
-                                } else if i % 193 == 0 {
-                                    cache.clear();
-                                }
                             }
                         }
                         assert!(

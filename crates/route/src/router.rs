@@ -485,7 +485,6 @@ impl Router {
         let tasks = build_tasks(circuit, &grid, &aps, cfg);
         af_obs::counter("route.tasks", tasks.len() as u64);
 
-        let debug = std::env::var_os("AF_ROUTE_DEBUG").is_some();
         let mut routes: HashMap<u32, NetRoute> = HashMap::new();
         // Every task is uncommitted at first; later rounds only re-route
         // the contested ones. Indices stay sorted — task order is the merge
@@ -567,9 +566,10 @@ impl Router {
                         }
                         TaskOutcome::Faulted(msg) => {
                             af_obs::counter("route.task_panics", 1);
-                            if debug {
-                                eprintln!("round {rounds}: task {} faulted: {msg}", pending[k]);
-                            }
+                            af_obs::warn(&format!(
+                                "route round {rounds}: task {} faulted: {msg}",
+                                pending[k]
+                            ));
                             faulted.push(pending[k]);
                         }
                     }
@@ -611,20 +611,6 @@ impl Router {
             }
             prev_conflicts = conflicts.len();
             af_obs::counter("route.conflict_nodes", conflicts.len() as u64);
-            if debug {
-                for (&node, users) in &conflicts {
-                    let g = grid.dim().from_flat(node as usize);
-                    eprintln!(
-                        "round {rounds}: conflict at {g} {} users={:?} hist={}",
-                        grid.node_dbu(node as usize),
-                        users
-                            .iter()
-                            .map(|&u| circuit.net(NetId::new(u)).name.clone())
-                            .collect::<Vec<_>>(),
-                        grid.history(node as usize),
-                    );
-                }
-            }
             // PathFinder semantics: every user of a contested node is ripped
             // up, the owner included — otherwise a trespasser whose only
             // passage is a node the owner sits on (e.g. a shared pin escape
@@ -1310,10 +1296,22 @@ mod tests {
         let p = place(&c, PlacementVariant::A);
 
         af_fault::arm_spec("route.task:panic:1.0:1").unwrap();
+        let sink = std::sync::Arc::new(af_obs::MemorySink::new());
+        let obs = af_obs::install(sink.clone());
         let faulted = route_with(&c, &p, RouterConfig::default());
+        drop(obs);
         let stats = af_fault::stats("route.task").expect("failpoint armed");
         af_fault::disarm_all();
         assert!(stats.fires >= 1, "failpoint should have fired");
+        assert!(
+            sink.events().iter().any(|e| matches!(
+                e,
+                af_obs::Event::Log { level, message, .. }
+                    if level == "warn" && message.contains("faulted")
+                        && message.contains("route.task")
+            )),
+            "the task's panic message is recorded as an af-obs warning"
+        );
         assert!(faulted.is_clean(), "{} conflicts", faulted.conflicts);
         for (i, net) in c.nets().iter().enumerate() {
             if net.is_routable() {

@@ -3,7 +3,7 @@
 //! Request bodies use derived `Deserialize` (the vendored derive maps a
 //! missing named field to `Null`, which `Option<T>` reads as `None`, so
 //! optional knobs need no custom code). Responses derive `Serialize`; the
-//! ones clients read back (tests, loadgen) also derive `Deserialize`.
+//! ones clients read back (the test suites) also derive `Deserialize`.
 
 use af_sim::Performance;
 use serde::{Deserialize, Serialize};

@@ -107,9 +107,16 @@ pub fn fast_exp(x: f64) -> f64 {
 }
 
 /// Scalar logistic sigmoid on the deterministic [`fast_exp`].
+///
+/// The argument is `0.0 - x`, not `-x`: the two differ only at `x = +0.0`
+/// (where `fast_exp` returns exactly 1 for either zero) and for NaN, which
+/// the subtraction passes through with its sign. A NaN input therefore
+/// yields the same NaN, and SiLU's `x · sigmoid(x)` multiplies two
+/// identical NaNs, so its bits do not depend on the operand order the
+/// compiler picks.
 #[inline(always)]
 pub fn fast_sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + fast_exp(-x))
+    1.0 / (1.0 + fast_exp(0.0 - x))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -208,12 +215,12 @@ mod avx2 {
     pub(super) unsafe fn vsigmoid(out: &mut [f64], x: &[f64]) {
         let len = x.len();
         let one = _mm256_set1_pd(1.0);
-        let neg0 = _mm256_set1_pd(-0.0);
+        let zero = _mm256_setzero_pd();
         let mut i = 0;
         while i + 4 <= len {
             let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            // XOR with -0.0 is the sign flip scalar `-x` compiles to.
-            let e = exp4(_mm256_xor_pd(xv, neg0));
+            // `0.0 - x`, as in the scalar `fast_sigmoid`.
+            let e = exp4(_mm256_sub_pd(zero, xv));
             let s = _mm256_div_pd(one, _mm256_add_pd(one, e));
             _mm256_storeu_pd(out.as_mut_ptr().add(i), s);
             i += 4;
@@ -228,11 +235,11 @@ mod avx2 {
     pub(super) unsafe fn vsilu(out: &mut [f64], sig: &mut [f64], pre: &[f64]) {
         let len = pre.len();
         let one = _mm256_set1_pd(1.0);
-        let neg0 = _mm256_set1_pd(-0.0);
+        let zero = _mm256_setzero_pd();
         let mut i = 0;
         while i + 4 <= len {
             let xv = _mm256_loadu_pd(pre.as_ptr().add(i));
-            let e = exp4(_mm256_xor_pd(xv, neg0));
+            let e = exp4(_mm256_sub_pd(zero, xv));
             let s = _mm256_div_pd(one, _mm256_add_pd(one, e));
             _mm256_storeu_pd(sig.as_mut_ptr().add(i), s);
             _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_mul_pd(xv, s));
