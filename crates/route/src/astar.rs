@@ -19,11 +19,17 @@
 //! Where a path re-walks the net's own wire at the reuse discount the bound
 //! can overestimate, and the search returns a good path rather than a
 //! provably cheapest one.
+//!
+//! Relaxing an edge makes no hash lookup: the net's guidance is resolved
+//! once per net ([`NetGuidance`]), the nearest guided access point of each
+//! node is memoised in a dense [`StampedMap`] shared by the searches of one
+//! net ([`SearchState::net`]), and a task's claim overlay is another
+//! dense map ([`crate::view::TaskView`]).
 
-use af_geom::{Axis, Dir3, GridPoint};
+use af_geom::{Axis, Dir3, GridDim, GridPoint};
 use af_netlist::NetId;
 
-use crate::guidance::RoutingGuidance;
+use crate::guidance::{nearest_ap, NetGuidance};
 use crate::router::RouterConfig;
 use crate::view::GridView;
 
@@ -120,23 +126,72 @@ impl OpenList for BucketQueue {
     }
 }
 
+/// A dense per-node `u32` map, cleared in O(1) by bumping a generation
+/// stamp (and in O(len) once every 2³² − 1 clears, when the stamp wraps).
+#[derive(Debug, Default)]
+pub(crate) struct StampedMap {
+    /// Per node: the generation that wrote the slot, and the value.
+    slots: Vec<(u32, u32)>,
+    gen: u32,
+}
+
+impl StampedMap {
+    /// Forgets every entry and sizes the map for `len` nodes.
+    pub(crate) fn clear(&mut self, len: usize) {
+        if self.slots.len() < len {
+            self.slots.resize(len, (0, 0));
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.slots.iter_mut().for_each(|s| s.0 = 0);
+            self.gen = 1;
+        }
+    }
+
+    /// The value stored at `idx` since the last [`StampedMap::clear`].
+    #[inline]
+    pub(crate) fn get(&self, idx: usize) -> Option<u32> {
+        let (gen, value) = self.slots[idx];
+        (gen == self.gen).then_some(value)
+    }
+
+    /// Stores `value` at `idx` until the next [`StampedMap::clear`].
+    #[inline]
+    pub(crate) fn insert(&mut self, idx: usize, value: u32) {
+        self.slots[idx] = (self.gen, value);
+    }
+}
+
 /// Reusable search scratch space (stamped so clearing is O(1) per search).
 ///
-/// Holds the label arrays and the open list of one search. In a parallel
-/// round each worker owns one of these (thread-local), never sharing
-/// search state across tasks. `Q` is the open list: [`BucketQueue`] in
-/// production; the test module swaps in a binary-heap oracle.
+/// Holds the label arrays and the open list of one search, and the
+/// nearest-AP memo that the searches of one net share
+/// ([`SearchState::net`]). In a parallel round each worker owns one of
+/// these (in its thread-local buffers), never sharing search state across
+/// tasks. `Q` is the open list: [`BucketQueue`] in production; the test
+/// module swaps in a binary-heap oracle.
 #[derive(Default)]
-pub(crate) struct SearchBuffers<Q = BucketQueue> {
+pub(crate) struct SearchState<Q = BucketQueue> {
     dist: Vec<f64>,
     came: Vec<u32>,
     stamp: Vec<u32>,
     target_stamp: Vec<u32>,
     cur: u32,
     open: Q,
+    /// Per node: index of its nearest guided access point in the
+    /// [`NetGuidance::Nearest`] list of the net being routed.
+    nearest: StampedMap,
 }
 
-impl<Q> SearchBuffers<Q> {
+impl<Q> SearchState<Q> {
+    /// Starts the searches of one net on a grid of `len` nodes. They share
+    /// the nearest-AP memo, which starts empty here, so no search can read
+    /// an entry of another net or another guidance.
+    pub(crate) fn net(&mut self, len: usize) -> NetSearch<'_, Q> {
+        self.nearest.clear(len);
+        NetSearch(self)
+    }
+
     fn ensure(&mut self, len: usize) {
         if self.dist.len() < len {
             self.dist.resize(len, 0.0);
@@ -156,6 +211,21 @@ impl<Q> SearchBuffers<Q> {
     }
 }
 
+/// The searches of one net; see [`SearchState::net`].
+pub(crate) struct NetSearch<'b, Q>(&'b mut SearchState<Q>);
+
+impl<Q: OpenList> NetSearch<'_, Q> {
+    /// Runs one search of the net (see [`search`]).
+    pub(crate) fn search<G: GridView>(
+        &mut self,
+        step: &StepCost<'_, G>,
+        sources: &[usize],
+        targets: &[usize],
+    ) -> Option<FoundPath> {
+        search(step, sources, targets, self.0)
+    }
+}
+
 /// Outcome of one A* run: the path from a source to a target, source first.
 pub(crate) struct FoundPath {
     pub nodes: Vec<usize>,
@@ -167,10 +237,12 @@ pub(crate) struct FoundPath {
 /// Per-step parameters captured once per net route.
 pub(crate) struct StepCost<'a, G: GridView> {
     pub grid: &'a G,
-    pub guidance: &'a RoutingGuidance,
-    /// Reciprocal of [`RoutingGuidance::scale_floor`] for `net`: multiplies
-    /// every guidance lookup so the net's cheapest multiplier lands on 1.0
-    /// (scale-free guidance — only relative preferences cost anything).
+    /// The net's guidance, resolved once per net.
+    pub guidance: NetGuidance<'a>,
+    /// Reciprocal of [`crate::RoutingGuidance::scale_floor`] for `net`:
+    /// multiplies every guidance lookup so the net's cheapest multiplier
+    /// lands on 1.0 (scale-free guidance — only relative preferences cost
+    /// anything).
     pub guidance_norm: f64,
     pub cfg: &'a RouterConfig,
     pub net: NetId,
@@ -181,8 +253,8 @@ pub(crate) struct StepCost<'a, G: GridView> {
 }
 
 impl<G: GridView> StepCost<'_, G> {
-    /// Whether the search may stand on `idx` at all.
-    fn passable(&self, idx: usize) -> bool {
+    /// Whether the search may stand on `idx` (grid point `g`) at all.
+    fn passable(&self, idx: usize, g: GridPoint) -> bool {
         let grid = self.grid;
         if grid.is_blocked(idx) {
             return false;
@@ -193,7 +265,6 @@ impl<G: GridView> StepCost<'_, G> {
             }
         }
         if self.enforce_mirror {
-            let g = grid.dim().from_flat(idx);
             // Mirrored routing is confined to the net's own (left) half-plane
             // so a route can never collide with its own mirror image.
             if g.x >= grid.axis_col() {
@@ -218,11 +289,17 @@ impl<G: GridView> StepCost<'_, G> {
         true
     }
 
-    /// Cost of stepping onto `idx` along `axis`.
-    fn enter_cost(&self, idx: usize, axis: Axis, layer: u8) -> f64 {
+    /// Cost of stepping onto `idx` (grid point `g`) along `axis`.
+    fn enter_cost(
+        &self,
+        idx: usize,
+        g: GridPoint,
+        axis: Axis,
+        layer: u8,
+        nearest: &mut StampedMap,
+    ) -> f64 {
         let grid = self.grid;
         let cfg = self.cfg;
-        let pos = grid.node_dbu(idx);
         let mut cost = match axis {
             Axis::Z => cfg.via_cost,
             a => {
@@ -234,8 +311,8 @@ impl<G: GridView> StepCost<'_, G> {
                 }
             }
         };
-        cost *= (self.guidance.multiplier(self.net, pos, axis) * self.guidance_norm)
-            .max(cfg.min_guidance);
+        let guide = guidance_multiplier(self.guidance, grid.dim(), idx, g, axis, nearest);
+        cost *= (guide * self.guidance_norm).max(cfg.min_guidance);
         // Congestion negotiation. History applies even on currently-free
         // nodes (PathFinder): a node that keeps being contested must repel
         // every net, not just the late-comer.
@@ -249,7 +326,6 @@ impl<G: GridView> StepCost<'_, G> {
             }
         }
         if self.enforce_mirror {
-            let g = grid.dim().from_flat(idx);
             if let Some(m) = grid.mirror(g) {
                 let midx = grid.dim().flat_index(m);
                 if let Some(owner) = grid.owner(midx) {
@@ -260,6 +336,36 @@ impl<G: GridView> StepCost<'_, G> {
             }
         }
         cost + penalty
+    }
+}
+
+/// The net's guidance multiplier for a step onto node `idx` (grid point
+/// `g`) along `axis`. Equals [`crate::RoutingGuidance::multiplier`]; under
+/// non-uniform guidance the nearest access point of `idx` is computed once
+/// and memoised in `nearest`, with the same strict-`<` tie-break (the
+/// first listed of equidistant access points wins).
+fn guidance_multiplier(
+    guidance: NetGuidance<'_>,
+    dim: &GridDim,
+    idx: usize,
+    g: GridPoint,
+    axis: Axis,
+    nearest: &mut StampedMap,
+) -> f64 {
+    match guidance {
+        NetGuidance::Neutral => 1.0,
+        NetGuidance::Nearest(aps) => {
+            let k = match nearest.get(idx) {
+                Some(k) => k as usize,
+                None => {
+                    let k = nearest_ap(aps, dim.to_dbu(g)).expect("guided nets list access points");
+                    nearest.insert(idx, u32::try_from(k).expect("access point index fits u32"));
+                    k
+                }
+            };
+            aps[k].1[axis.index()]
+        }
+        NetGuidance::Raster(map, raster) => map.sample(raster, dim.to_dbu(g)),
     }
 }
 
@@ -280,14 +386,15 @@ fn grid_preferred(layer: u8, axis: Axis) -> bool {
 const H_SCALE: f64 = 0.999;
 
 /// Runs a maze search from `sources` (cost 0) to any node in `targets`:
-/// one-sided A* with deferred termination and μ-pruning.
+/// one-sided A* with deferred termination and μ-pruning. Reached through
+/// [`NetSearch::search`], so the nearest-AP memo belongs to `step.net`.
 ///
 /// Returns the path (source first, target last) or `None` when unreachable.
-pub(crate) fn search<G: GridView, Q: OpenList>(
+fn search<G: GridView, Q: OpenList>(
     step: &StepCost<'_, G>,
     sources: &[usize],
     targets: &[usize],
-    buffers: &mut SearchBuffers<Q>,
+    buffers: &mut SearchState<Q>,
 ) -> Option<FoundPath> {
     let dim = *step.grid.dim();
     buffers.ensure(dim.len());
@@ -310,7 +417,7 @@ pub(crate) fn search<G: GridView, Q: OpenList>(
     let open = &mut buffers.open;
     open.clear();
     for &s in sources {
-        if !step.passable(s) {
+        if !step.passable(s, dim.from_flat(s)) {
             continue;
         }
         buffers.dist[s] = 0.0;
@@ -363,7 +470,7 @@ pub(crate) fn search<G: GridView, Q: OpenList>(
             let Some((ng, nidx)) = neighbor(&dim, gp, dir) else {
                 continue;
             };
-            if !step.passable(nidx) {
+            if !step.passable(nidx, ng) {
                 continue;
             }
             let layer = if dir.axis() == Axis::Z {
@@ -377,7 +484,8 @@ pub(crate) fn search<G: GridView, Q: OpenList>(
                 }
                 _ => 0.0,
             };
-            let ncost = g + step.enter_cost(nidx, dir.axis(), layer) + bend;
+            let ncost =
+                g + step.enter_cost(nidx, ng, dir.axis(), layer, &mut buffers.nearest) + bend;
             if buffers.stamp[nidx] != gen || ncost + 1e-12 < buffers.dist[nidx] {
                 let nf = ncost + h(nidx);
                 if let Some((mu, _)) = best {
@@ -446,8 +554,9 @@ mod tests {
     use super::*;
     use crate::access::PinAccessMap;
     use crate::grid::RoutingGrid;
-    use crate::guidance::NonUniformGuidance;
-    use af_geom::CostTriple;
+    use crate::guidance::{NonUniformGuidance, RoutingGuidance};
+    use crate::view::TaskView;
+    use af_geom::{CostTriple, Point, Point3};
     use af_netlist::benchmarks;
     use af_place::{place, PlacementVariant};
     use af_tech::Technology;
@@ -557,12 +666,42 @@ mod tests {
 
     #[test]
     fn stamp_generation_wraps_safely() {
-        let mut b = SearchBuffers::<BucketQueue>::default();
+        let mut b = SearchState::<BucketQueue>::default();
         b.ensure(4);
         b.cur = u32::MAX;
         b.next_gen();
         assert_eq!(b.cur, 1);
         assert!(b.stamp.iter().all(|&s| s == 0));
+    }
+
+    /// An entry written before the stamp wraps must not read back after it,
+    /// in the map itself, in the nearest-AP memo and in a task's overlay.
+    #[test]
+    fn overlay_and_memo_stamps_wrap_safely() {
+        let mut m = StampedMap::default();
+        m.clear(4);
+        m.insert(2, 7);
+        assert_eq!(m.get(2), Some(7));
+        m.gen = u32::MAX;
+        m.clear(4);
+        assert_eq!(m.gen, 1);
+        assert_eq!(m.get(2), None, "generation 1's entry survived the wrap");
+
+        let mut b = SearchState::<BucketQueue>::default();
+        b.net(4);
+        b.nearest.insert(3, 5);
+        b.nearest.gen = u32::MAX;
+        b.net(4);
+        assert_eq!(b.nearest.get(3), None, "memo entry survived the wrap");
+
+        let c = benchmarks::ota1();
+        let grid = RoutingGrid::new(&c, &place(&c, PlacementVariant::A), &Technology::nm40(), 2);
+        let free = (0..grid.dim().len()).find(|&i| grid.is_free(i)).unwrap();
+        let mut overlay = StampedMap::default();
+        assert!(TaskView::new(&grid, [None, None], &mut overlay).claim_node(free, NetId::new(1)));
+        overlay.gen = u32::MAX;
+        let view = TaskView::new(&grid, [None, None], &mut overlay);
+        assert_eq!(view.owner(free), None, "overlay claim survived the wrap");
     }
 
     /// An admissible-cost config: reuse discount off and via cost ≥ 1 keep
@@ -590,25 +729,20 @@ mod tests {
     ) -> Option<Vec<usize>> {
         let step = StepCost {
             grid,
-            guidance,
+            guidance: guidance.of_net(net),
             guidance_norm: guidance.scale_floor(net).recip(),
             cfg,
             net,
             mirror_net: None,
             enforce_mirror: false,
         };
-        let bucket = search(
-            &step,
-            sources,
-            targets,
-            &mut SearchBuffers::<BucketQueue>::default(),
-        );
-        let heap = search(
-            &step,
-            sources,
-            targets,
-            &mut SearchBuffers::<HeapOracle>::default(),
-        );
+        let len = grid.dim().len();
+        let bucket = SearchState::<BucketQueue>::default()
+            .net(len)
+            .search(&step, sources, targets);
+        let heap = SearchState::<HeapOracle>::default()
+            .net(len)
+            .search(&step, sources, targets);
         match (bucket, heap) {
             (None, None) => None,
             (Some(b), Some(h)) => {
@@ -698,6 +832,60 @@ mod tests {
                 tree.extend(path);
             }
             prop_assert!(remaining.is_empty(), "every access point of the net is reachable");
+        }
+
+        /// The memoised nearest-AP multiplier equals
+        /// `NonUniformGuidance::multiplier` at every node and axis, for two
+        /// nets looked up in turn on one `SearchState`, on the miss that
+        /// fills the memo and on the hit that reads it. Access points sit
+        /// on and off the grid; each net lists its first access point's
+        /// position again last, so exact ties always occur and the first
+        /// listed must win them (every triple is distinct).
+        #[test]
+        fn memoised_multiplier_matches_nearest_ap_scan(
+            aps_a in prop::collection::vec((0u32..9, 0u32..7, 0u8..3, 0i64..2, 0i64..2), 1..10),
+            aps_b in prop::collection::vec((0u32..9, 0u32..7, 0u8..3, 0i64..2, 0i64..2), 1..10),
+        ) {
+            let dim = GridDim::new(Point::new(-3, 5), 9, 7, 3, 2);
+            let nets = [NetId::new(0), NetId::new(3)];
+            let mut field = NonUniformGuidance::new();
+            for (net, list) in nets.iter().zip([&aps_a, &aps_b]) {
+                let mut positions: Vec<Point3> = list
+                    .iter()
+                    .map(|&(x, y, l, ox, oy)| {
+                        let p = dim.to_dbu(GridPoint::new(x, y, l));
+                        Point3::new(p.x + ox, p.y + oy, p.z)
+                    })
+                    .collect();
+                positions.push(positions[0]);
+                for (k, pos) in positions.into_iter().enumerate() {
+                    let base = (net.index() * 100 + k) as f64;
+                    field.set(*net, pos, CostTriple([base + 0.1, base + 0.2, base + 0.3]));
+                }
+            }
+            let guidance = RoutingGuidance::NonUniform(field.clone());
+            let mut state = SearchState::<BucketQueue>::default();
+            for net in nets {
+                let repeated_first = field.of_net(net).last().expect("net is guided").1;
+                let searches = state.net(dim.len());
+                for _pass in 0..2 {
+                    for idx in 0..dim.len() {
+                        let g = dim.from_flat(idx);
+                        for axis in Axis::ALL {
+                            let memoised = guidance_multiplier(
+                                guidance.of_net(net),
+                                &dim,
+                                idx,
+                                g,
+                                axis,
+                                &mut searches.0.nearest,
+                            );
+                            prop_assert_eq!(memoised, field.multiplier(net, dim.to_dbu(g), axis));
+                            prop_assert_ne!(memoised, repeated_first[axis.index()]);
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -185,13 +185,10 @@ impl RoutingGrid {
         self.is_pin[idx] = true;
     }
 
-    /// Releases every non-pin node owned by `net`.
-    pub fn release_net(&mut self, net: NetId) {
-        let raw = net.index() as u32;
-        for idx in 0..self.occ.len() {
-            if self.occ[idx] == raw && !self.is_pin[idx] {
-                self.occ[idx] = FREE;
-            }
+    /// Frees the node when `net` owns it and it is not a pin access point.
+    pub fn release(&mut self, idx: usize, net: NetId) {
+        if self.occ[idx] == net.index() as u32 && !self.is_pin[idx] {
+            self.occ[idx] = FREE;
         }
     }
 
@@ -270,7 +267,9 @@ mod tests {
         assert_eq!(g.owner(idx), Some(net));
         assert!(g.claim(idx, net), "re-claim by same net ok");
         assert!(!g.claim(idx, NetId::new(4)), "other net cannot claim");
-        g.release_net(net);
+        g.release(idx, NetId::new(4));
+        assert_eq!(g.owner(idx), Some(net), "only the owner releases");
+        g.release(idx, net);
         assert!(g.is_free(idx));
     }
 
@@ -281,7 +280,7 @@ mod tests {
         let idx = (0..g.dim().len()).find(|&i| g.is_free(i)).unwrap();
         let net = NetId::new(2);
         g.claim_pin(idx, net);
-        g.release_net(net);
+        g.release(idx, net);
         assert_eq!(g.owner(idx), Some(net));
         assert!(g.is_pin(idx));
     }

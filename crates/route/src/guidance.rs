@@ -73,19 +73,8 @@ impl NonUniformGuidance {
     /// of the *nearest* guided access point of that net (1.0 when the net is
     /// unguided).
     pub fn multiplier(&self, net: NetId, pos: Point3, axis: Axis) -> f64 {
-        let Some(list) = self.entries.get(&(net.index() as u32)) else {
-            return 1.0;
-        };
-        let mut best = None;
-        let mut best_d = i64::MAX;
-        for (ap, triple) in list {
-            let d = ap.manhattan_3d(pos, 1);
-            if d < best_d {
-                best_d = d;
-                best = Some(triple);
-            }
-        }
-        best.map(|t| t[axis.index()]).unwrap_or(1.0)
+        let list = self.of_net(net);
+        nearest_ap(list, pos).map_or(1.0, |k| list[k].1[axis.index()])
     }
 
     /// Per-net normalization constant: the true minimum over the net's
@@ -102,6 +91,21 @@ impl NonUniformGuidance {
             .fold(f64::INFINITY, f64::min)
             .clamp(1e-6, f64::MAX)
     }
+}
+
+/// Index of the access point in `list` nearest to `pos`; on a tie the
+/// first listed wins. `None` for an empty list.
+pub(crate) fn nearest_ap(list: &[(Point3, CostTriple)], pos: Point3) -> Option<usize> {
+    let mut best = None;
+    let mut best_d = i64::MAX;
+    for (k, (ap, _)) in list.iter().enumerate() {
+        let d = ap.manhattan_3d(pos, 1);
+        if d < best_d {
+            best_d = d;
+            best = Some(k);
+        }
+    }
+    best
 }
 
 /// A uniform 2-D guidance map (the GeniusRoute style): per-net multiplier
@@ -156,9 +160,14 @@ impl GuidanceMap2D {
     /// Multiplier for `net` at dbu position `pos` (1.0 for unmapped nets or
     /// positions outside the window).
     pub fn multiplier(&self, net: NetId, pos: Point3) -> f64 {
-        let Some(map) = self.maps.get(&(net.index() as u32)) else {
-            return 1.0;
-        };
+        self.maps
+            .get(&(net.index() as u32))
+            .map_or(1.0, |raster| self.sample(raster, pos))
+    }
+
+    /// Samples one net's `raster` at dbu position `pos` (1.0 outside the
+    /// window).
+    pub(crate) fn sample(&self, raster: &[f64], pos: Point3) -> f64 {
         let fx = (pos.x - self.origin.0) as f64 / self.size.0 as f64;
         let fy = (pos.y - self.origin.1) as f64 / self.size.1 as f64;
         if !(0.0..1.0).contains(&fx) || !(0.0..1.0).contains(&fy) {
@@ -166,7 +175,7 @@ impl GuidanceMap2D {
         }
         let cx = ((fx * self.w as f64) as usize).min(self.w - 1);
         let cy = ((fy * self.h as f64) as usize).min(self.h - 1);
-        map[cy * self.w + cx]
+        raster[cy * self.w + cx]
     }
 
     /// Smallest multiplier `net` can see anywhere (1.0 for unmapped nets).
@@ -198,7 +207,35 @@ pub enum RoutingGuidance {
     Map(GuidanceMap2D),
 }
 
+/// One net's guidance, resolved once per net so that costing a step makes
+/// no map lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NetGuidance<'a> {
+    /// Every multiplier is 1.0.
+    Neutral,
+    /// The net's guided access points: a step takes the triple of the
+    /// nearest one ([`nearest_ap`]). Never empty.
+    Nearest(&'a [(Point3, CostTriple)]),
+    /// The net's raster of a 2-D map ([`GuidanceMap2D::sample`]).
+    Raster(&'a GuidanceMap2D, &'a [f64]),
+}
+
 impl RoutingGuidance {
+    /// Resolves the guidance of one net.
+    pub(crate) fn of_net(&self, net: NetId) -> NetGuidance<'_> {
+        match self {
+            RoutingGuidance::None => NetGuidance::Neutral,
+            RoutingGuidance::NonUniform(g) => match g.of_net(net) {
+                [] => NetGuidance::Neutral,
+                list => NetGuidance::Nearest(list),
+            },
+            RoutingGuidance::Map(m) => match m.maps.get(&(net.index() as u32)) {
+                Some(raster) => NetGuidance::Raster(m, raster),
+                None => NetGuidance::Neutral,
+            },
+        }
+    }
+
     /// Directional step-cost multiplier for `net` at `pos` along `axis`.
     pub fn multiplier(&self, net: NetId, pos: Point3, axis: Axis) -> f64 {
         match self {

@@ -23,7 +23,7 @@ use af_place::Placement;
 use af_tech::Technology;
 
 use crate::access::PinAccessMap;
-use crate::astar::{search, SearchBuffers, StepCost};
+use crate::astar::{SearchState, StampedMap, StepCost};
 use crate::grid::RoutingGrid;
 use crate::guidance::RoutingGuidance;
 use crate::post;
@@ -407,10 +407,22 @@ enum TaskOutcome {
     Faulted(String),
 }
 
+/// One router thread's reusable state, borrowed apart per task: a
+/// [`TaskView`] holds the claim overlay while its searches use the state.
+#[derive(Default)]
+struct SearchBuffers {
+    /// A* labels, open list and the per-net nearest-AP memo.
+    state: SearchState,
+    /// The dense claim overlay of the task being routed.
+    overlay: StampedMap,
+}
+
 thread_local! {
-    /// Per-worker search scratch. `afrt` scopes its workers per `par_map`
-    /// call, so these are re-initialized each round — still a win, because
-    /// every net a worker routes within a round reuses one allocation.
+    /// Per-worker search scratch: A* labels, the nearest-AP memo and the
+    /// dense claim overlay of [`TaskView`], about 36 bytes per grid node.
+    /// `afrt` scopes its workers per `par_map` call, so these are
+    /// re-initialized each round — still a win, because every net a worker
+    /// routes within a round reuses one allocation.
     static BUFFERS: RefCell<SearchBuffers> = RefCell::new(SearchBuffers::default());
 }
 
@@ -507,14 +519,9 @@ impl Router {
 
             if sequential_tail || pending.len() <= 2 {
                 af_obs::counter("route.sequential_rounds", 1);
-                for &ti in &pending {
-                    for member in tasks[ti].members().into_iter().flatten() {
-                        grid.release_net(member);
-                        routes.remove(&(member.index() as u32));
-                    }
-                }
+                release_pending(&mut grid, &mut routes, &tasks, &pending);
                 BUFFERS.with(|b| {
-                    let mut buffers = b.borrow_mut();
+                    let state = &mut b.borrow_mut().state;
                     for &ti in &pending {
                         route_task(
                             circuit,
@@ -524,7 +531,7 @@ impl Router {
                             cfg,
                             tasks[ti],
                             &mut routes,
-                            &mut buffers,
+                            state,
                         )?;
                     }
                     Ok::<(), RouteError>(())
@@ -537,12 +544,7 @@ impl Router {
                 // Release every pending task's previous-round claims: they were
                 // visible to the other searches as stale present costs, but the
                 // new routes replace them wholesale.
-                for &ti in &pending {
-                    for member in tasks[ti].members().into_iter().flatten() {
-                        grid.release_net(member);
-                        routes.remove(&(member.index() as u32));
-                    }
-                }
+                release_pending(&mut grid, &mut routes, &tasks, &pending);
                 let mut faulted: Vec<usize> = Vec::new();
                 let mut unroutable: Option<RouteError> = None;
                 for (k, outcome) in outcomes.into_iter().enumerate() {
@@ -582,7 +584,7 @@ impl Router {
                 if !faulted.is_empty() {
                     af_obs::counter("route.sequential_fallbacks", faulted.len() as u64);
                     BUFFERS.with(|b| {
-                        let mut buffers = b.borrow_mut();
+                        let state = &mut b.borrow_mut().state;
                         for &ti in &faulted {
                             route_task(
                                 circuit,
@@ -592,7 +594,7 @@ impl Router {
                                 cfg,
                                 tasks[ti],
                                 &mut routes,
-                                &mut buffers,
+                                state,
                             )?;
                         }
                         Ok::<(), RouteError>(())
@@ -660,12 +662,6 @@ impl Router {
         let runtime_s = t0.elapsed().as_secs_f64();
         af_obs::counter("route.drc_fixes", pruned);
         af_obs::counter("route.nets_routed", nets.len() as u64);
-        if runtime_s > 0.0 {
-            af_obs::counter(
-                "route.nets_per_sec",
-                (nets.len() as f64 / runtime_s).round() as u64,
-            );
-        }
 
         Ok(RoutedLayout {
             nets,
@@ -720,6 +716,26 @@ impl Router {
                 .enumerate()
                 .map(|(k, ti)| run(k, ti))
                 .collect(),
+        }
+    }
+}
+
+/// Releases the previous-round routes of the `pending` tasks' nets. Every
+/// node a net owns is in its own route set, so walking those sets frees
+/// exactly what a scan of the whole grid would.
+fn release_pending(
+    grid: &mut RoutingGrid,
+    routes: &mut HashMap<u32, NetRoute>,
+    tasks: &[Task],
+    pending: &[usize],
+) {
+    for &ti in pending {
+        for member in tasks[ti].members().into_iter().flatten() {
+            if let Some(r) = routes.remove(&(member.index() as u32)) {
+                for &n in &r.nodes {
+                    grid.release(n as usize, member);
+                }
+            }
         }
     }
 }
@@ -834,7 +850,8 @@ fn route_task_on_view(
     task: Task,
     buffers: &mut SearchBuffers,
 ) -> Result<Vec<(NetId, NetRoute)>, RouteError> {
-    let mut view = TaskView::new(base, task.members());
+    let SearchBuffers { state, overlay } = buffers;
+    let mut view = TaskView::new(base, task.members(), overlay);
     let mut routes: HashMap<u32, NetRoute> = HashMap::new();
     route_task(
         circuit,
@@ -844,7 +861,7 @@ fn route_task_on_view(
         cfg,
         task,
         &mut routes,
-        buffers,
+        state,
     )?;
     let mut out = Vec::new();
     for member in task.members().into_iter().flatten() {
@@ -864,15 +881,15 @@ fn route_task<G: GridView>(
     cfg: &RouterConfig,
     task: Task,
     routes: &mut HashMap<u32, NetRoute>,
-    buffers: &mut SearchBuffers,
+    state: &mut SearchState,
 ) -> Result<(), RouteError> {
     match task {
         Task::Single(net) => {
-            let r = route_net(circuit, grid, aps, guidance, cfg, net, None, false, buffers)?;
+            let r = route_net(circuit, grid, aps, guidance, cfg, net, None, false, state)?;
             routes.insert(net.index() as u32, r);
         }
         Task::Pair(a, b) => {
-            let ra = route_net(circuit, grid, aps, guidance, cfg, a, Some(b), true, buffers)?;
+            let ra = route_net(circuit, grid, aps, guidance, cfg, a, Some(b), true, state)?;
             // Mirror a's geometry onto b.
             let mut rb = NetRoute::default();
             for &n in &ra.nodes {
@@ -900,17 +917,8 @@ fn route_task<G: GridView>(
                 .filter(|n| !rb.nodes.contains(n))
                 .collect();
             if !missing.is_empty() || rb.nodes.is_empty() {
-                let stitched = route_net(
-                    circuit,
-                    grid,
-                    aps,
-                    guidance,
-                    cfg,
-                    b,
-                    Some(a),
-                    false,
-                    buffers,
-                )?;
+                let stitched =
+                    route_net(circuit, grid, aps, guidance, cfg, b, Some(a), false, state)?;
                 rb.nodes.extend(stitched.nodes);
                 rb.edges.extend(stitched.edges);
             }
@@ -932,7 +940,7 @@ fn route_net<G: GridView>(
     net: NetId,
     mirror_net: Option<NetId>,
     enforce_mirror: bool,
-    buffers: &mut SearchBuffers,
+    state: &mut SearchState,
 ) -> Result<NetRoute, RouteError> {
     let mut route = NetRoute::default();
     // Seed the tree with anything the net already owns (pins at minimum).
@@ -950,6 +958,9 @@ fn route_net<G: GridView>(
     let seed = grid.dim().from_flat(ap_nodes[0] as usize);
     remaining.sort_by_key(|&n| grid.dim().from_flat(n as usize).manhattan(seed));
 
+    let net_guidance = guidance.of_net(net);
+    let guidance_norm = guidance.scale_floor(net).recip();
+    let mut searches = state.net(grid.dim().len());
     while !remaining.is_empty() {
         // Sorted sources: `route.nodes` is a HashSet whose iteration order
         // is seeded per instance, and the bucket open list pops LIFO within
@@ -959,14 +970,14 @@ fn route_net<G: GridView>(
         let targets: Vec<usize> = remaining.iter().map(|&n| n as usize).collect();
         let step = StepCost {
             grid: &*grid,
-            guidance,
-            guidance_norm: guidance.scale_floor(net).recip(),
+            guidance: net_guidance,
+            guidance_norm,
             cfg,
             net,
             mirror_net,
             enforce_mirror,
         };
-        let Some(found) = search(&step, &sources, &targets, buffers) else {
+        let Some(found) = searches.search(&step, &sources, &targets) else {
             return Err(RouteError::Unroutable {
                 net,
                 name: circuit.net(net).name.clone(),

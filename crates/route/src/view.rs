@@ -12,11 +12,10 @@
 //! net-routing loop see; it is implemented both by the real grid (used for
 //! the sequential fault-degradation path) and by the per-task overlay.
 
-use std::collections::HashMap;
-
-use af_geom::{GridDim, GridPoint, Point3};
+use af_geom::{GridDim, GridPoint};
 use af_netlist::NetId;
 
+use crate::astar::StampedMap;
 use crate::grid::RoutingGrid;
 
 /// Uniform read/claim interface over a routing grid or a task overlay.
@@ -27,8 +26,6 @@ pub(crate) trait GridView {
     fn axis_col(&self) -> u32;
     /// Mirror transform across the symmetry axis.
     fn mirror(&self, g: GridPoint) -> Option<GridPoint>;
-    /// dbu location of a node.
-    fn node_dbu(&self, idx: usize) -> Point3;
     /// Whether the node is a hard obstacle.
     fn is_blocked(&self, idx: usize) -> bool;
     /// Whether the node is a pin access point.
@@ -52,9 +49,6 @@ impl GridView for RoutingGrid {
     }
     fn mirror(&self, g: GridPoint) -> Option<GridPoint> {
         RoutingGrid::mirror(self, g)
-    }
-    fn node_dbu(&self, idx: usize) -> Point3 {
-        RoutingGrid::node_dbu(self, idx)
     }
     fn is_blocked(&self, idx: usize) -> bool {
         RoutingGrid::is_blocked(self, idx)
@@ -81,19 +75,28 @@ impl GridView for RoutingGrid {
 /// 2. base claims of the task's *own* nets are hidden unless they are pins
 ///    (the task is being re-routed; its stale wires must not look owned),
 /// 3. everything else reads through to the base snapshot.
+///
+/// The overlay is a dense per-node map of claiming net indices, borrowed
+/// from the worker's thread-local buffers and cleared in O(1) per task.
 pub(crate) struct TaskView<'a> {
     base: &'a RoutingGrid,
     exclude: [Option<NetId>; 2],
-    claims: HashMap<u32, NetId>,
+    claims: &'a mut StampedMap,
 }
 
 impl<'a> TaskView<'a> {
-    /// A fresh view for a task over `exclude` nets (its members).
-    pub(crate) fn new(base: &'a RoutingGrid, exclude: [Option<NetId>; 2]) -> Self {
+    /// A fresh view for a task over `exclude` nets (its members), with its
+    /// overlay in `claims` (whose previous entries are dropped).
+    pub(crate) fn new(
+        base: &'a RoutingGrid,
+        exclude: [Option<NetId>; 2],
+        claims: &'a mut StampedMap,
+    ) -> Self {
+        claims.clear(base.dim().len());
         Self {
             base,
             exclude,
-            claims: HashMap::new(),
+            claims,
         }
     }
 }
@@ -108,9 +111,6 @@ impl GridView for TaskView<'_> {
     fn mirror(&self, g: GridPoint) -> Option<GridPoint> {
         self.base.mirror(g)
     }
-    fn node_dbu(&self, idx: usize) -> Point3 {
-        self.base.node_dbu(idx)
-    }
     fn is_blocked(&self, idx: usize) -> bool {
         self.base.is_blocked(idx)
     }
@@ -118,8 +118,8 @@ impl GridView for TaskView<'_> {
         self.base.is_pin(idx)
     }
     fn owner(&self, idx: usize) -> Option<NetId> {
-        if let Some(&n) = self.claims.get(&(idx as u32)) {
-            return Some(n);
+        if let Some(n) = self.claims.get(idx) {
+            return Some(NetId::new(n));
         }
         match self.base.owner(idx) {
             Some(o) if self.exclude.contains(&Some(o)) && !self.base.is_pin(idx) => None,
@@ -135,7 +135,7 @@ impl GridView for TaskView<'_> {
         }
         match self.owner(idx) {
             None => {
-                self.claims.insert(idx as u32, net);
+                self.claims.insert(idx, net.index() as u32);
                 true
             }
             Some(o) => o == net,
@@ -164,7 +164,8 @@ mod tests {
         assert!(base.claim(idx, committed));
 
         let me = NetId::new(1);
-        let mut v = TaskView::new(&base, [Some(me), None]);
+        let mut overlay = StampedMap::default();
+        let mut v = TaskView::new(&base, [Some(me), None], &mut overlay);
         // committed claims of other nets read through
         assert_eq!(GridView::owner(&v, idx), Some(committed));
         assert!(!v.claim_node(idx, me), "cannot claim another net's node");
@@ -188,7 +189,8 @@ mod tests {
         base.claim(wire, me);
         base.claim_pin(pin, me);
 
-        let v = TaskView::new(&base, [Some(me), None]);
+        let mut overlay = StampedMap::default();
+        let v = TaskView::new(&base, [Some(me), None], &mut overlay);
         assert_eq!(
             GridView::owner(&v, wire),
             None,
@@ -202,7 +204,8 @@ mod tests {
     fn blocked_nodes_cannot_be_claimed() {
         let base = grid();
         let blocked = (0..base.dim().len()).find(|&i| base.is_blocked(i)).unwrap();
-        let mut v = TaskView::new(&base, [None, None]);
+        let mut overlay = StampedMap::default();
+        let mut v = TaskView::new(&base, [None, None], &mut overlay);
         assert!(!v.claim_node(blocked, NetId::new(0)));
         assert_eq!(GridView::owner(&v, blocked), None);
     }

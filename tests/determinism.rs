@@ -3,8 +3,8 @@
 //! weights, and derived guidance.
 
 use analogfold_suite::analogfold::{
-    generate_dataset, relax, AnalogFoldFlow, DatasetConfig, FlowConfig, GnnConfig, GnnProgram,
-    GraphTensors, HeteroGraph, Potential, RelaxConfig, ThreeDGnn,
+    generate_dataset, guidance_field, relax, AnalogFoldFlow, DatasetConfig, FlowConfig, GnnConfig,
+    GnnProgram, GraphTensors, HeteroGraph, Potential, RelaxConfig, ThreeDGnn,
 };
 use analogfold_suite::extract::extract;
 use analogfold_suite::netlist::benchmarks;
@@ -409,27 +409,54 @@ fn gnn_program_replay_and_recompilation_deterministic() {
 
 /// The router's parallel-negotiation contract: the routed layout is
 /// bit-identical at every worker count — the per-round snapshot plus
-/// deterministic task-order merge must hide scheduling entirely.
+/// deterministic task-order merge must hide scheduling entirely. The
+/// guided case also holds each worker's reused thread-local claim overlay
+/// and nearest-AP memo to carrying nothing from one task, net or round to
+/// the next: OTA3-A negotiates over several rounds and routes mirrored
+/// pairs.
 #[test]
 fn routing_thread_count_invariant() {
-    let circuit = benchmarks::ota1();
     let tech = Technology::nm40();
-    let placement = place(&circuit, PlacementVariant::A);
-    let run = |threads: usize| {
-        let cfg = RouterConfig::builder().threads(threads).build().unwrap();
-        Router::new(cfg)
-            .unwrap()
-            .route(&circuit, &placement, &tech, &RoutingGuidance::None)
-            .unwrap()
-    };
-    let reference = run(1);
-    for threads in [4usize, 8] {
-        let layout = run(threads);
-        assert_eq!(
-            reference.nets, layout.nets,
-            "layout must be bit-identical at {threads} threads"
+    let ota1 = benchmarks::ota1();
+    let ota3 = benchmarks::ota3();
+    let ota3_placement = place(&ota3, PlacementVariant::A);
+    let graph = HeteroGraph::build(&ota3, &ota3_placement, &tech, 3);
+    let vector: Vec<f64> = (0..graph.guided_ap_indices().len() * 3)
+        .map(|i| 0.4 + ((i * 7) % 10) as f64 * 0.2)
+        .collect();
+    let cases = [
+        (
+            &ota1,
+            place(&ota1, PlacementVariant::A),
+            RoutingGuidance::None,
+        ),
+        (
+            &ota3,
+            ota3_placement,
+            RoutingGuidance::NonUniform(guidance_field(&graph, &vector)),
+        ),
+    ];
+    for (circuit, placement, guidance) in &cases {
+        let run = |threads: usize| {
+            let cfg = RouterConfig::builder().threads(threads).build().unwrap();
+            Router::new(cfg)
+                .unwrap()
+                .route(circuit, placement, &tech, guidance)
+                .unwrap()
+        };
+        let reference = run(1);
+        assert!(
+            !circuit.symmetric_net_pairs().is_empty() && reference.iterations > 1,
+            "each case routes mirrored pairs over several rounds"
         );
-        assert_eq!(reference.conflicts, layout.conflicts);
-        assert_eq!(reference.iterations, layout.iterations);
+        for threads in [2usize, 4, 8] {
+            let layout = run(threads);
+            assert_eq!(
+                reference.nets, layout.nets,
+                "layout must be bit-identical at {threads} threads"
+            );
+            assert_eq!(reference.conflicts, layout.conflicts);
+            assert_eq!(reference.iterations, layout.iterations);
+        }
     }
 }
