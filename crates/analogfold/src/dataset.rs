@@ -199,11 +199,6 @@ pub struct DatasetConfig {
     pub threads: usize,
     /// Samples per checkpoint shard when a checkpoint directory is given.
     pub shard_size: usize,
-    /// Capacity (MiB) of the tier-C guidance→performance memo; `0`
-    /// disables it. When a checkpoint store is given the memo spills to
-    /// disk beside the shards, so resumed runs and sibling shards skip
-    /// already-routed samples.
-    pub cache_mb: u64,
     /// Retry policy for transiently-failing sample evaluations (injected
     /// faults, worker panics). Retries recompute from the sample's own
     /// seed, so a retried sample is bit-identical to an untroubled one.
@@ -221,7 +216,6 @@ impl Default for DatasetConfig {
             sim: SimConfig::default(),
             threads: 0,
             shard_size: 32,
-            cache_mb: 64,
             retry: af_fault::RetryPolicy {
                 max_attempts: 3,
                 base_delay_ms: 2,
@@ -350,146 +344,87 @@ pub fn shard_range(cfg: &DatasetConfig, shard_index: usize) -> std::ops::Range<u
     start..end
 }
 
-/// Everything one sample evaluation needs, hoisted out of the shard loop so
-/// the single-process generator and the fleet's distributed workers run the
+/// Evaluates samples `range`, fanning out across an [`afrt`] worker pool.
+/// Each record depends only on `(cfg.seed, sample_index)`, never on which
+/// process, worker, or thread computed it: the single-process generator and
+/// the fleet's distributed workers both come here, so they run the
 /// byte-for-byte same code path (the bit-identity contract depends on it).
-struct EvalCtx<'a> {
-    circuit: &'a Circuit,
-    placement: &'a Placement,
-    tech: &'a Technology,
-    graph: &'a HeteroGraph,
-    cfg: &'a DatasetConfig,
-    runtime: &'a afrt::Runtime,
-    eval_cache: Option<crate::cache::EvalCache>,
-    design: Option<af_cache::ContentHash>,
-}
-
-impl<'a> EvalCtx<'a> {
-    /// Builds the context, wiring the tier-C guidance→performance memo to
-    /// spill beside `spill`'s shards when a store is given. The memo never
-    /// changes results (its keys are the exact guidance bits), so its
-    /// presence or absence preserves bit-identity.
-    fn new(
-        circuit: &'a Circuit,
-        placement: &'a Placement,
-        tech: &'a Technology,
-        graph: &'a HeteroGraph,
-        cfg: &'a DatasetConfig,
-        runtime: &'a afrt::Runtime,
-        spill: Option<&ShardStore>,
-    ) -> Self {
-        let eval_cache = (cfg.cache_mb > 0 && crate::cache::cache_enabled()).then(|| {
-            let cache = crate::cache::EvalCache::new(cfg.cache_mb);
-            match spill {
-                Some(store) => cache.with_spill(ShardStore::new(store.dir().join("cache"))),
-                None => cache,
-            }
-        });
-        let design = eval_cache
-            .as_ref()
-            .map(|_| crate::cache::design_eval_hash(graph, &cfg.router, &cfg.sim));
-        Self {
-            circuit,
-            placement,
-            tech,
-            graph,
-            cfg,
-            runtime,
-            eval_cache,
-            design,
-        }
-    }
-
-    /// Evaluates samples `[start, end)`, fanning out across the runtime's
-    /// worker pool. Each record depends only on `(cfg.seed, sample_index)`,
-    /// never on which process, worker, or thread computed it.
-    fn eval_range(&self, start: usize, end: usize) -> Vec<(SampleRecord, Option<DatasetError>)> {
-        let cfg = self.cfg;
-        let n_guided = self.graph.guided_ap_indices().len();
-        let (lo, hi) = (cfg.c_low.ln(), cfg.c_high.ln());
-        let indices: Vec<usize> = (start..end).collect();
-        self.runtime
-            .par_map(&indices, |_, &i| {
-                let _s = af_obs::span!("sample", i);
-                let mut rng = ChaCha8Rng::seed_from_u64(afrt::split_seed(cfg.seed, i as u64));
-                let guidance: Vec<f64> = (0..n_guided * 3)
-                    .map(|_| rng.gen_range(lo..=hi).exp())
-                    .collect();
-                let key = self.eval_cache.as_ref().map(|_| {
-                    crate::cache::guidance_key(
-                        self.design.as_ref().expect("design hash set with cache"),
-                        &guidance,
-                    )
-                });
-                // Retry transient failures. The `sim.eval` failpoint is
-                // keyed by (sample, attempt), so the injected schedule —
-                // and with it the retry timeline and the final dataset —
-                // is identical at every thread count, and each retry gets
-                // a fresh draw (a transient fault stops firing).
-                let result = cfg.retry.run(
-                    "dataset.sample",
-                    DatasetError::is_transient,
-                    |attempt| -> Result<Performance, DatasetError> {
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || -> Result<Performance, DatasetError> {
-                                af_fault::fail!(
-                                    "sim.eval",
-                                    key = af_fault::mix(i as u64, u64::from(attempt)),
-                                    DatasetError::Injected(af_fault::injected("sim.eval"))
-                                );
-                                if let (Some(cache), Some(key)) = (&self.eval_cache, &key) {
-                                    if let Some(performance) = cache.lookup(key) {
-                                        af_obs::counter("dataset.samples_cached", 1);
-                                        return Ok(performance);
-                                    }
-                                }
-                                let performance = evaluate_guidance(
-                                    self.circuit,
-                                    self.placement,
-                                    self.tech,
-                                    self.graph,
-                                    &guidance,
-                                    &cfg.router,
-                                    &cfg.sim,
-                                )?;
-                                if let (Some(cache), Some(key)) = (&self.eval_cache, &key) {
-                                    cache.store(*key, &performance);
-                                }
-                                Ok(performance)
-                            },
-                        ));
-                        outcome.unwrap_or_else(|payload| {
-                            Err(DatasetError::Panicked(afrt::panic_message(
-                                payload.as_ref(),
-                            )))
-                        })
+fn eval_range(
+    circuit: &Circuit,
+    placement: &Placement,
+    tech: &Technology,
+    graph: &HeteroGraph,
+    cfg: &DatasetConfig,
+    range: std::ops::Range<usize>,
+) -> Vec<(SampleRecord, Option<DatasetError>)> {
+    let n_guided = graph.guided_ap_indices().len();
+    let (lo, hi) = (cfg.c_low.ln(), cfg.c_high.ln());
+    let indices: Vec<usize> = range.collect();
+    afrt::Runtime::with_threads(cfg.threads)
+        .par_map(&indices, |_, &i| {
+            let _s = af_obs::span!("sample", i);
+            let mut rng = ChaCha8Rng::seed_from_u64(afrt::split_seed(cfg.seed, i as u64));
+            let guidance: Vec<f64> = (0..n_guided * 3)
+                .map(|_| rng.gen_range(lo..=hi).exp())
+                .collect();
+            // Retry transient failures. The `sim.eval` failpoint is
+            // keyed by (sample, attempt), so the injected schedule —
+            // and with it the retry timeline and the final dataset —
+            // is identical at every thread count, and each retry gets
+            // a fresh draw (a transient fault stops firing).
+            let result = cfg.retry.run(
+                "dataset.sample",
+                DatasetError::is_transient,
+                |attempt| -> Result<Performance, DatasetError> {
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                        || -> Result<Performance, DatasetError> {
+                            af_fault::fail!(
+                                "sim.eval",
+                                key = af_fault::mix(i as u64, u64::from(attempt)),
+                                DatasetError::Injected(af_fault::injected("sim.eval"))
+                            );
+                            evaluate_guidance(
+                                circuit,
+                                placement,
+                                tech,
+                                graph,
+                                &guidance,
+                                &cfg.router,
+                                &cfg.sim,
+                            )
+                        },
+                    ));
+                    outcome.unwrap_or_else(|payload| {
+                        Err(DatasetError::Panicked(afrt::panic_message(
+                            payload.as_ref(),
+                        )))
+                    })
+                },
+            );
+            match result {
+                Ok(performance) => (
+                    SampleRecord {
+                        guidance,
+                        performance: Some(performance),
+                        error: None,
                     },
-                );
-                match result {
-                    Ok(performance) => (
+                    None,
+                ),
+                Err(e) => {
+                    af_obs::counter("dataset.samples_failed", 1);
+                    af_obs::warn(&format!("sample {i} permanently failed after retries: {e}"));
+                    (
                         SampleRecord {
                             guidance,
-                            performance: Some(performance),
-                            error: None,
+                            performance: None,
+                            error: Some(e.to_string()),
                         },
-                        None,
-                    ),
-                    Err(e) => {
-                        af_obs::counter("dataset.samples_failed", 1);
-                        af_obs::warn(&format!("sample {i} permanently failed after retries: {e}"));
-                        (
-                            SampleRecord {
-                                guidance,
-                                performance: None,
-                                error: Some(e.to_string()),
-                            },
-                            Some(e),
-                        )
-                    }
+                        Some(e),
+                    )
                 }
-            })
-            .unwrap_or_else(|e| panic!("dataset generation failed: {e}"))
-    }
+            }
+        })
+        .unwrap_or_else(|e| panic!("dataset generation failed: {e}"))
 }
 
 /// Whether a loaded shard is complete and fully successful for `cfg` —
@@ -515,11 +450,8 @@ pub fn shard_is_complete(
 /// worker leases. The result depends only on `(cfg, shard_index)`: any
 /// worker, any thread count, any retry timeline produces bit-identical
 /// records, which is what lets a coordinator re-lease a dead worker's shard
-/// and still assemble the same dataset.
-///
-/// `spill`, when given, hosts the disk tier of the guidance→performance
-/// memo (typically the shared checkpoint store); the shard itself is *not*
-/// saved — callers own persistence.
+/// and still assemble the same dataset. The shard is *not* saved — callers
+/// own persistence.
 #[must_use]
 pub fn generate_shard(
     circuit: &Circuit,
@@ -528,13 +460,10 @@ pub fn generate_shard(
     graph: &HeteroGraph,
     cfg: &DatasetConfig,
     shard_index: usize,
-    spill: Option<&ShardStore>,
 ) -> Vec<SampleRecord> {
     let _g = af_obs::span!("generate_shard", shard_index);
-    let runtime = afrt::Runtime::with_threads(cfg.threads);
-    let ctx = EvalCtx::new(circuit, placement, tech, graph, cfg, &runtime, spill);
     let range = shard_range(cfg, shard_index);
-    let evaluated = ctx.eval_range(range.start, range.end);
+    let evaluated = eval_range(circuit, placement, tech, graph, cfg, range);
     af_obs::counter(
         "dataset.samples_generated",
         evaluated
@@ -633,12 +562,6 @@ pub fn generate_dataset_checkpointed(
     checkpoint: Option<&ShardStore>,
 ) -> Result<Dataset, DatasetError> {
     let _gen = af_obs::span!("generate_dataset");
-    let runtime = afrt::Runtime::with_threads(cfg.threads);
-    // Tier C: memoize guidance→performance by (design hash, guidance key).
-    // With a checkpoint store the memo spills beside the shards, so a
-    // resumed run (or a sibling shard revisiting a guidance point) skips
-    // the route→extract→simulate pipeline entirely.
-    let ctx = EvalCtx::new(circuit, placement, tech, graph, cfg, &runtime, checkpoint);
     let mut samples = Vec::with_capacity(cfg.samples);
 
     for shard_index in 0..shard_count(cfg) {
@@ -660,7 +583,7 @@ pub fn generate_dataset_checkpointed(
             }
         }
 
-        let evaluated = ctx.eval_range(range.start, range.end);
+        let evaluated = eval_range(circuit, placement, tech, graph, cfg, range);
 
         // Without a checkpoint the historical contract holds: the
         // lowest-index permanent failure aborts generation. With one, the
@@ -892,7 +815,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let store = ShardStore::new(&dir);
         for shard_index in [2usize, 0, 1] {
-            let shard = generate_shard(&c, &p, &t, &graph, &cfg, shard_index, Some(&store));
+            let shard = generate_shard(&c, &p, &t, &graph, &cfg, shard_index);
             assert!(shard_is_complete(&cfg, &graph, shard_index, &shard));
             store.save_shard(shard_index, &shard).unwrap();
         }
@@ -924,7 +847,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let store = ShardStore::new(&dir);
         assert!(assemble_dataset(&store, &cfg, &graph).unwrap().is_none());
-        let shard = generate_shard(&c, &p, &t, &graph, &cfg, 0, None);
+        let shard = generate_shard(&c, &p, &t, &graph, &cfg, 0);
         store.save_shard(0, &shard).unwrap();
         assert!(
             assemble_dataset(&store, &cfg, &graph).unwrap().is_none(),

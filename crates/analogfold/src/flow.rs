@@ -12,11 +12,11 @@ use af_route::{RouteError, RoutedLayout, Router, RouterConfig, RoutingGuidance};
 use af_sim::{simulate, Performance, SimConfig, SimError};
 use af_tech::Technology;
 
-use crate::dataset::{generate_dataset, guidance_field, DatasetConfig, DatasetError};
+use crate::dataset::{generate_dataset, guidance_field, DatasetConfig, DatasetError, TargetStats};
 use crate::error::Error;
 use crate::gnn::{GnnConfig, ThreeDGnn, TrainReport};
 use crate::hetero::HeteroGraph;
-use crate::potential::{relax_seeded, Potential, RelaxConfig};
+use crate::potential::{relax_seeded, Potential, RelaxConfig, FOM_WEIGHTS};
 
 /// A shareable observability sink carried inside [`FlowConfig`].
 ///
@@ -76,16 +76,6 @@ impl FlowConfig {
     pub fn with_threads(mut self, n: usize) -> Self {
         self.dataset.threads = n;
         self.relax.threads = n;
-        self
-    }
-
-    /// Sets the memoization budget (MiB) on every caching tier of the flow
-    /// (relaxation evaluation memo, dataset guidance→route cache). `0`
-    /// disables both; results are bit-identical either way.
-    #[must_use]
-    pub fn with_cache_mb(mut self, mb: u64) -> Self {
-        self.dataset.cache_mb = mb;
-        self.relax.cache_mb = mb;
         self
     }
 }
@@ -165,13 +155,6 @@ impl FlowConfigBuilder {
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg = self.cfg.with_threads(n);
-        self
-    }
-
-    /// Memoization budget (MiB) for every caching tier (`0` = off).
-    #[must_use]
-    pub fn cache_mb(mut self, mb: u64) -> Self {
-        self.cfg = self.cfg.with_cache_mb(mb);
         self
     }
 
@@ -490,22 +473,15 @@ impl AnalogFoldFlow {
     ) -> Result<FlowOutcome, Error> {
         let cfg = &self.cfg;
 
-        // Guidance generation by potential relaxation. The tier-A memo
-        // turns exact-duplicate surrogate evaluations (pool re-seeds,
-        // repeated relax calls) into lookups without changing a bit of the
-        // output.
-        let ((candidates, potential), guide_gen_s) = af_obs::timed_span("guide_gen", || {
-            let mut potential = Potential::new(&gnn, &graph);
-            potential.enable_memo(cfg.relax.cache_mb);
-            let candidates = relax_seeded(&potential, &cfg.relax, &seeds);
-            (candidates, potential)
+        // Guidance generation by potential relaxation.
+        let (candidates, guide_gen_s) = af_obs::timed_span("guide_gen", || {
+            relax_seeded(&Potential::new(&gnn, &graph), &cfg.relax, &seeds)
         });
 
         // Guided routing: evaluate the derived candidates concurrently,
         // keep the best (ties break toward the lower-potential candidate,
         // i.e. the lower index, matching the old sequential scan).
-        let stats = gnn.stats().clone();
-        let weights = potential.weights;
+        let stats = gnn.stats();
         let runtime = afrt::Runtime::with_threads(cfg.relax.threads);
         let router =
             Router::new(cfg.router.clone()).map_err(|e| Error::from(RouteError::from(e)))?;
@@ -525,12 +501,7 @@ impl AnalogFoldFlow {
                     let parasitics = extract(circuit, &cfg.tech, &layout);
                     let perf =
                         simulate(circuit, Some(&parasitics), &cfg.sim).map_err(Error::from)?;
-                    let normalized = stats.normalize(&perf.as_array());
-                    let score: f64 = normalized
-                        .iter()
-                        .zip(weights.iter())
-                        .map(|(y, w)| y * w)
-                        .sum();
+                    let score = simulated_fom(stats, &perf.as_array());
                     Ok::<_, Error>((score, cand.guidance.clone(), layout, parasitics, perf))
                 })
                 .unwrap_or_else(|e| panic!("candidate evaluation failed: {e}"))
@@ -585,21 +556,27 @@ impl AnalogFoldFlow {
     }
 }
 
+/// The FoM relaxation minimizes, applied to simulated metrics: the
+/// [`FOM_WEIGHTS`]-weighted sum of the normalized metrics (lower is better).
+fn simulated_fom(stats: &TargetStats, metrics: &[f64; 5]) -> f64 {
+    stats
+        .normalize(metrics)
+        .iter()
+        .zip(FOM_WEIGHTS.iter())
+        .map(|(y, w)| y * w)
+        .sum()
+}
+
 /// The `k` dataset guidance vectors with the best simulated weighted FoM
 /// (clamped into the relaxation's feasible region).
 fn best_dataset_seeds(gnn: &ThreeDGnn, dataset: &crate::Dataset, k: usize) -> Vec<Vec<f64>> {
     let stats = gnn.stats();
-    let weights = [1.0, -1.0, -1.0, -1.0, 1.0];
     let (lo, hi) = gnn.guidance_bounds();
     let eps = (hi - lo) * 1e-3;
     let mut scored: Vec<(f64, &crate::Sample)> = dataset
         .samples
         .iter()
-        .map(|s| {
-            let z = stats.normalize(&s.metrics());
-            let score: f64 = z.iter().zip(weights.iter()).map(|(y, w)| y * w).sum();
-            (score, s)
-        })
+        .map(|s| (simulated_fom(stats, &s.metrics()), s))
         .collect();
     scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
     scored

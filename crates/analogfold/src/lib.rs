@@ -58,10 +58,7 @@ mod hetero;
 mod persist;
 mod potential;
 
-pub use cache::{
-    cache_enabled, content_hash_of, design_eval_hash, graph_hash, guidance_key, set_cache_enabled,
-    EvalCache, FomMemo,
-};
+pub use cache::{cache_enabled, content_hash_of, graph_hash, set_cache_enabled};
 pub use dataset::{
     assemble_dataset, generate_dataset, generate_dataset_checkpointed, generate_dataset_multi,
     generate_shard, guidance_field, guidance_field_for, shard_count, shard_is_complete,

@@ -300,9 +300,10 @@ mod tests {
     }
 
     /// Golden vectors: these pin the hash for on-disk artifacts (model
-    /// headers, spilled shards). If this test fails the algorithm changed,
-    /// which silently invalidates every persisted cache — bump the relevant
-    /// format versions instead of updating the constants casually.
+    /// headers) and the benchmark's output digests. If this test fails the
+    /// algorithm changed, which silently invalidates every persisted hash —
+    /// bump the relevant format versions instead of updating the constants
+    /// casually.
     #[test]
     fn golden_vectors_are_stable() {
         let empty = ContentHash::of_bytes(b"");

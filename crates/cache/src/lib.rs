@@ -2,13 +2,11 @@
 //! **af-cache** — concurrent, memory-bounded memoization for the AnalogFold
 //! workspace.
 //!
-//! The paper's hottest path evaluates `f_θ(G_H, C)` thousands of times per
-//! design while most of the inputs never change; af-serve replays identical
-//! predict/guide requests under load; dataset generation re-routes identical
-//! guidance on resume. This crate is the shared answer: a sharded LRU core
-//! with size-aware admission and a stable 128-bit content hash for
-//! canonical keying. Disk spill for cross-run warm caches lives with its
-//! one caller, `analogfold`'s checkpoint store.
+//! Every relaxation and predict session rebuilds the same `C`-independent
+//! GNN tensor prefix for a design, and af-serve replays identical
+//! predict/guide requests under load. This crate is the shared answer: a
+//! sharded LRU core with size-aware admission and a stable 128-bit content
+//! hash for canonical keying.
 //!
 //! Design rules:
 //!

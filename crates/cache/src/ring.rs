@@ -21,8 +21,8 @@
 //!
 //! Hashing goes through [`ContentHasher`](crate::ContentHasher), whose
 //! output is pinned by golden vectors — assignments are stable across
-//! platforms and workspace versions, which on-disk spill tiers and fleet
-//! smoke tests rely on.
+//! platforms and workspace versions, which the fleet smoke tests rely
+//! on.
 
 use crate::ContentHasher;
 

@@ -32,8 +32,8 @@ pub const GEN_KNN: usize = 3;
 const LEASE_POLL: Duration = Duration::from_millis(100);
 
 /// Builds the [`DatasetConfig`] a [`GenSpec`] describes. Fields the spec
-/// does not carry (router, simulator, retry policy, cache quantization)
-/// take workspace defaults — identical on coordinator and workers by
+/// does not carry (router, simulator, retry policy) take workspace
+/// defaults — identical on coordinator and workers by
 /// construction, which the bit-identity contract requires.
 ///
 /// # Errors
@@ -61,7 +61,6 @@ pub fn spec_config(spec: &GenSpec) -> Result<DatasetConfig, FleetError> {
         c_high: spec.c_high,
         threads: spec.threads as usize,
         shard_size: spec.shard_size as usize,
-        cache_mb: spec.cache_mb,
         ..DatasetConfig::default()
     })
 }
@@ -241,7 +240,6 @@ fn compute_shard(
         &design.graph,
         cfg,
         shard,
-        Some(store),
     );
     if !shard_is_complete(cfg, &design.graph, shard, &records) {
         return Err(FleetError::Config(format!(
@@ -270,7 +268,6 @@ mod tests {
             c_high: 2.4,
             checkpoint: String::new(),
             threads: 1,
-            cache_mb: 0,
         }
     }
 

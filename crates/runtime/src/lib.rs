@@ -4,9 +4,9 @@
 //!
 //! # Design
 //!
-//! The central primitive is [`Runtime::par_map`] (and its seeded variant
-//! [`Runtime::par_map_seeded`]): map a function over a slice of items on a
-//! scoped worker pool and collect the results **by index**. Because
+//! The central primitive is [`Runtime::par_map`]: map a function over a
+//! slice of items on a scoped worker pool and collect the results **by
+//! index**. Because
 //!
 //! 1. results land in a pre-sized output vector at their item's index, and
 //! 2. any per-task randomness is derived only from `(root_seed, index)`
@@ -19,20 +19,19 @@
 //! a shared queue, so closures may borrow non-`'static` data (graphs,
 //! tensors, model weights) without `Arc`-wrapping the world. Each task runs
 //! under `catch_unwind`: one panicking task never tears down the pool, and
-//! the panic payload is reported in [`JobError::Panicked`]. Jobs can be
-//! observed through a [`Progress`] handle and stopped early through a
-//! [`CancelToken`].
+//! the panic payload is reported in [`JobError::Panicked`].
 //!
-//! Thread-count resolution order: explicit builder value, then the
-//! `AFRT_THREADS` environment variable, then `std::thread::available_parallelism`.
+//! Thread-count resolution order: explicit [`Runtime::with_threads`] value,
+//! then the `AFRT_THREADS` environment variable, then
+//! `std::thread::available_parallelism`.
 
 pub mod queue;
 
 pub use queue::{BoundedQueue, PushError};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "AFRT_THREADS";
@@ -62,8 +61,6 @@ pub enum JobError {
     /// At least one task panicked; holds the first panic's message and the
     /// index of the task that raised it.
     Panicked { index: usize, message: String },
-    /// The job was cancelled before all tasks completed.
-    Cancelled { completed: usize, total: usize },
 }
 
 impl std::fmt::Display for JobError {
@@ -72,93 +69,11 @@ impl std::fmt::Display for JobError {
             JobError::Panicked { index, message } => {
                 write!(f, "task {index} panicked: {message}")
             }
-            JobError::Cancelled { completed, total } => {
-                write!(f, "job cancelled after {completed}/{total} tasks")
-            }
         }
     }
 }
 
 impl std::error::Error for JobError {}
-
-/// Cooperative cancellation token shared between a job and its observers.
-///
-/// Cloning is cheap; all clones observe the same flag. Workers check the
-/// token between tasks, so cancellation stops *scheduling* promptly but
-/// never interrupts a task mid-flight.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation; idempotent.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// True once [`cancel`](Self::cancel) has been called.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
-
-/// Live progress counters for a running job.
-///
-/// Handles are cheap to clone and can be polled from outside the job (e.g.
-/// by a reporting thread) or inspected after completion.
-#[derive(Clone, Debug)]
-pub struct Progress {
-    total: usize,
-    completed: Arc<AtomicUsize>,
-}
-
-impl Progress {
-    fn new(total: usize) -> Self {
-        Self {
-            total,
-            completed: Arc::new(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Number of tasks in the job.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Number of tasks finished so far.
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.completed.load(Ordering::SeqCst)
-    }
-
-    /// Completed fraction in `[0, 1]` (1.0 for empty jobs).
-    #[must_use]
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.completed() as f64 / self.total as f64
-        }
-    }
-}
-
-/// Per-job observation hooks, passed to the `*_observed` entry points.
-pub struct JobHooks {
-    /// Checked between tasks; when cancelled the remaining tasks are skipped
-    /// and the job returns [`JobError::Cancelled`].
-    pub cancel: CancelToken,
-    /// Incremented as tasks finish.
-    pub progress: Progress,
-}
 
 /// Index queue shared by the workers of one job.
 ///
@@ -174,32 +89,6 @@ impl TaskQueue {
     fn pop(&self) -> Option<usize> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         (i < self.total).then_some(i)
-    }
-}
-
-/// Builder for [`Runtime`].
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeBuilder {
-    threads: Option<usize>,
-}
-
-impl RuntimeBuilder {
-    /// Pins the worker count. `0` means "auto" (env var, then hardware).
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = if n == 0 { None } else { Some(n) };
-        self
-    }
-
-    /// Finalizes the runtime.
-    #[must_use]
-    pub fn build(self) -> Runtime {
-        let threads = self
-            .threads
-            .or_else(threads_from_env)
-            .unwrap_or_else(hardware_threads)
-            .max(1);
-        Runtime { threads }
     }
 }
 
@@ -226,21 +115,20 @@ pub struct Runtime {
 
 impl Default for Runtime {
     fn default() -> Self {
-        RuntimeBuilder::default().build()
+        Self::with_threads(0)
     }
 }
 
 impl Runtime {
-    /// Builder entry point.
-    #[must_use]
-    pub fn builder() -> RuntimeBuilder {
-        RuntimeBuilder::default()
-    }
-
-    /// Runtime with an explicit worker count (`0` = auto).
+    /// Runtime with an explicit worker count (`0` = auto: `AFRT_THREADS`,
+    /// then hardware parallelism).
     #[must_use]
     pub fn with_threads(n: usize) -> Self {
-        Self::builder().threads(n).build()
+        let threads = Some(n)
+            .filter(|&n| n > 0)
+            .or_else(threads_from_env)
+            .unwrap_or_else(hardware_threads);
+        Self { threads }
     }
 
     /// Resolved worker count.
@@ -250,55 +138,13 @@ impl Runtime {
     }
 
     /// Maps `f` over `items` on the pool; results are ordered by item index.
+    /// Per-task randomness should come from [`split_seed`]`(root, i)`, which
+    /// keeps the result bit-identical for every thread count.
     ///
     /// # Errors
-    /// [`JobError::Panicked`] if any task panicked (first panic by index wins).
+    /// [`JobError::Panicked`] if any task panicked (first panic by index
+    /// wins). On error, completed results are dropped.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, JobError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let hooks = JobHooks {
-            cancel: CancelToken::new(),
-            progress: Progress::new(items.len()),
-        };
-        self.par_map_observed(items, &hooks, f)
-    }
-
-    /// [`par_map`](Self::par_map) with a deterministic per-item seed derived
-    /// from `root_seed` via [`split_seed`]. The contract: for a fixed
-    /// `(items, root_seed, f)` the result is bit-identical for every thread
-    /// count.
-    ///
-    /// # Errors
-    /// [`JobError::Panicked`] if any task panicked.
-    pub fn par_map_seeded<T, R, F>(
-        &self,
-        items: &[T],
-        root_seed: u64,
-        f: F,
-    ) -> Result<Vec<R>, JobError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T, u64) -> R + Sync,
-    {
-        self.par_map(items, |i, item| f(i, item, split_seed(root_seed, i as u64)))
-    }
-
-    /// Full-control variant: caller-supplied cancellation and progress.
-    ///
-    /// # Errors
-    /// [`JobError::Panicked`] on task panic, [`JobError::Cancelled`] if the
-    /// token fires before all tasks finish. On error, completed results are
-    /// dropped.
-    pub fn par_map_observed<T, R, F>(
-        &self,
-        items: &[T],
-        hooks: &JobHooks,
-        f: F,
-    ) -> Result<Vec<R>, JobError>
     where
         T: Sync,
         R: Send,
@@ -334,9 +180,6 @@ impl Runtime {
             for _ in 0..workers {
                 scope.spawn(|| {
                     while let Some(i) = queue.pop() {
-                        if hooks.cancel.is_cancelled() {
-                            break;
-                        }
                         let exec_start = if obs_on {
                             let now = std::time::Instant::now();
                             af_obs::hist(
@@ -354,10 +197,7 @@ impl Runtime {
                             af_obs::hist("afrt.task_exec_us", start.elapsed().as_secs_f64() * 1e6);
                         }
                         match outcome {
-                            Ok(r) => {
-                                results.lock().unwrap().push((i, r));
-                                hooks.progress.completed.fetch_add(1, Ordering::SeqCst);
-                            }
+                            Ok(r) => results.lock().unwrap().push((i, r)),
                             Err(payload) => {
                                 let msg = panic_message(payload.as_ref());
                                 let mut slot = first_panic.lock().unwrap();
@@ -376,12 +216,6 @@ impl Runtime {
             return Err(JobError::Panicked { index, message });
         }
         let mut collected = results.into_inner().unwrap();
-        if collected.len() < total {
-            return Err(JobError::Cancelled {
-                completed: collected.len(),
-                total,
-            });
-        }
         collected.sort_unstable_by_key(|(i, _)| *i);
         Ok(collected.into_iter().map(|(_, r)| r).collect())
     }
@@ -462,12 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn par_map_seeded_is_thread_count_invariant() {
+    fn split_seeded_par_map_is_thread_count_invariant() {
         let items: Vec<u32> = (0..64).collect();
         let run = |threads| {
             Runtime::with_threads(threads)
-                .par_map_seeded(&items, 0xDEAD_BEEF, |i, &item, seed| {
-                    (i as u64) ^ u64::from(item) ^ seed
+                .par_map(&items, |i, &item| {
+                    (i as u64) ^ u64::from(item) ^ split_seed(0xDEAD_BEEF, i as u64)
                 })
                 .unwrap()
         };
@@ -481,77 +315,27 @@ mod tests {
     fn panic_in_one_task_is_isolated_and_reported() {
         let rt = Runtime::with_threads(4);
         let items: Vec<usize> = (0..32).collect();
-        let err = rt
+        let JobError::Panicked { index, message } = rt
             .par_map(&items, |_, &x| {
                 assert!(x != 13, "unlucky task");
                 x
             })
             .unwrap_err();
-        match err {
-            JobError::Panicked { index, message } => {
-                assert_eq!(index, 13);
-                assert!(message.contains("unlucky task"), "message: {message}");
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
+        assert_eq!(index, 13);
+        assert!(message.contains("unlucky task"), "message: {message}");
     }
 
     #[test]
     fn earliest_panic_index_wins() {
         let rt = Runtime::with_threads(8);
         let items: Vec<usize> = (0..64).collect();
-        let err = rt
+        let JobError::Panicked { index, .. } = rt
             .par_map(&items, |_, &x| {
                 assert!(x % 10 != 3, "boom at {x}");
                 x
             })
             .unwrap_err();
-        match err {
-            JobError::Panicked { index, .. } => assert_eq!(index, 3),
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancellation_stops_scheduling() {
-        let rt = Runtime::with_threads(2);
-        let items: Vec<usize> = (0..1000).collect();
-        let hooks = JobHooks {
-            cancel: CancelToken::new(),
-            progress: Progress::new(items.len()),
-        };
-        let cancel = hooks.cancel.clone();
-        let counter = AtomicUsize::new(0);
-        let err = rt
-            .par_map_observed(&items, &hooks, |_, &x| {
-                if counter.fetch_add(1, Ordering::SeqCst) == 5 {
-                    cancel.cancel();
-                }
-                x
-            })
-            .unwrap_err();
-        match err {
-            JobError::Cancelled { completed, total } => {
-                assert_eq!(total, 1000);
-                assert!(completed < 1000, "job should not have run to completion");
-                assert!(hooks.progress.completed() == completed);
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-        assert!(hooks.cancel.is_cancelled());
-    }
-
-    #[test]
-    fn progress_reaches_total_on_success() {
-        let rt = Runtime::with_threads(3);
-        let items: Vec<usize> = (0..50).collect();
-        let hooks = JobHooks {
-            cancel: CancelToken::new(),
-            progress: Progress::new(items.len()),
-        };
-        rt.par_map_observed(&items, &hooks, |_, &x| x).unwrap();
-        assert_eq!(hooks.progress.completed(), 50);
-        assert!((hooks.progress.fraction() - 1.0).abs() < 1e-12);
+        assert_eq!(index, 3);
     }
 
     #[test]
@@ -576,7 +360,7 @@ mod tests {
         let _l = crate::OBS_TEST_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let sink = Arc::new(af_obs::MemorySink::new());
+        let sink = std::sync::Arc::new(af_obs::MemorySink::new());
         let guard = af_obs::install(sink.clone());
         {
             let _job = af_obs::span!("job");

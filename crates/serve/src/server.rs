@@ -347,7 +347,7 @@ fn dispatch(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// Tier B: serves `/v1/predict` and `/v1/guide` through the response cache.
+/// Serves `/v1/predict` and `/v1/guide` through the response cache.
 /// The key covers the request path and the exact body bytes, so a hit can
 /// only replay a response computed for an identical request. Only
 /// 200-status bodies are cached; an `x-no-cache` request header bypasses

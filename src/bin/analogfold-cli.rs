@@ -10,7 +10,7 @@
 //!                         [--registry DIR]
 //! analogfold-cli guide    <OTA1..OTA4> <A..D> --model FILE [--restarts N] [--threads N]
 //! analogfold-cli flow     <OTA1..OTA4> <A..D> [--samples N] [--epochs N] [--restarts N]
-//!                         [--threads N] [--route-threads N] [--cache-mb N] [--no-cache]
+//!                         [--threads N] [--route-threads N] [--no-cache]
 //!                         [--obs-jsonl FILE] [--obs-report]
 //! analogfold-cli serve    <OTA1..OTA4> <A..D> [--model FILE] [--registry DIR] [--addr HOST:PORT]
 //!                         [--threads N] [--jobs DIR] [--cache-mb N] [--no-cache]
@@ -25,7 +25,7 @@
 //! analogfold-cli fleet-front  --coordinator HOST:PORT [--addr HOST:PORT] [--refresh-ms N]
 //! analogfold-cli fleet-gen    <OTA1..OTA4> <A..D> --checkpoint DIR [--samples N]
 //!                         [--shard-size N] [--seed N] [--workers N] [--out FILE]
-//!                         [--addr HOST:PORT] [--lease-ms N] [--threads N] [--cache-mb N]
+//!                         [--addr HOST:PORT] [--lease-ms N] [--threads N]
 //! analogfold-cli fleet-gen    --join HOST:PORT [--id NAME]
 //! analogfold-cli bench-info
 //! ```
@@ -70,7 +70,7 @@ const USAGE: &str = "usage:
                           [--registry DIR]
   analogfold-cli guide    <OTA1..OTA4> <A..D> --model FILE [--restarts N] [--threads N]
   analogfold-cli flow     <OTA1..OTA4> <A..D> [--samples N] [--epochs N] [--restarts N]
-                          [--threads N] [--route-threads N] [--cache-mb N] [--no-cache]
+                          [--threads N] [--route-threads N] [--no-cache]
                           [--obs-jsonl FILE] [--obs-report]
   analogfold-cli serve    <OTA1..OTA4> <A..D> [--model FILE] [--registry DIR] [--addr HOST:PORT]
                           [--threads N] [--jobs DIR] [--cache-mb N] [--no-cache]
@@ -89,7 +89,7 @@ const USAGE: &str = "usage:
                           [--no-breaker] [--breaker-open-ms N] [--breaker-slow-ms N]
   analogfold-cli fleet-gen    <OTA1..OTA4> <A..D> --checkpoint DIR [--samples N]
                           [--shard-size N] [--seed N] [--workers N] [--out FILE]
-                          [--addr HOST:PORT] [--lease-ms N] [--threads N] [--cache-mb N]
+                          [--addr HOST:PORT] [--lease-ms N] [--threads N]
   analogfold-cli fleet-gen    --join HOST:PORT [--id NAME]
   analogfold-cli bench-info
 
@@ -371,6 +371,12 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
     let obs = obs_flags(args);
     let guard = obs_install(&obs)?;
 
+    // `--no-cache` switches the tensor-prefix cache off; the flow's output
+    // is bit-identical either way.
+    if has_flag(args, "--no-cache") {
+        analogfold_suite::analogfold::set_cache_enabled(false);
+    }
+
     let t0 = std::time::Instant::now();
     let placement = place(&circuit, variant);
     let placement_s = t0.elapsed().as_secs_f64();
@@ -382,7 +388,6 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
         .n_derive(flag_num(args, "--n-derive", 3).min(restarts))
         .threads(threads)
         .route_threads(route_threads_flag(args))
-        .cache_mb(cache_mb_flag(args, 64))
         .placement_s(placement_s)
         .build()
         .map_err(|e| e.to_string())?;
@@ -874,7 +879,6 @@ fn cmd_fleet_gen(args: &[String]) -> Result<(), String> {
         c_high: dflt.c_high,
         checkpoint: checkpoint.to_string(),
         threads: threads_flag(args) as u64,
-        cache_mb: cache_mb_flag(args, dflt.cache_mb),
     };
     let workers = flag_num(args, "--workers", 2);
     let coord = Coordinator::bind(CoordinatorConfig {

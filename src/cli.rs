@@ -106,14 +106,15 @@ pub fn obs_install(flags: &ObsFlags) -> Result<Option<af_obs::ObsGuard>, String>
     Ok(Some(af_obs::install(std::sync::Arc::new(tee))))
 }
 
-/// Parses the caching flags shared by the `flow` and `serve` subcommands:
-/// `--cache-mb N` sizes the memoization caches in MiB (falling back to
+/// Parses the caching flags of the `serve` and `fleet-worker` subcommands:
+/// `--cache-mb N` sizes the response cache in MiB (falling back to
 /// `default` when absent or malformed) and `--no-cache` disables caching
-/// entirely, returning `0` and switching the process-wide
-/// [`analogfold::set_cache_enabled`](crate::analogfold::set_cache_enabled)
-/// kill switch off. Caching never changes results — cached and uncached
-/// runs are bit-identical — so `--no-cache` is a debugging/benchmarking
-/// aid, not a correctness knob.
+/// entirely, returning `0` and switching the process-wide tensor-prefix
+/// cache off through
+/// [`analogfold::set_cache_enabled`](crate::analogfold::set_cache_enabled).
+/// Caching never changes results — cached and uncached runs are
+/// bit-identical — so `--no-cache` is a debugging/benchmarking aid, not a
+/// correctness knob.
 pub fn cache_mb_flag(args: &[String], default: u64) -> u64 {
     if has_flag(args, "--no-cache") {
         crate::analogfold::set_cache_enabled(false);
@@ -241,10 +242,10 @@ mod tests {
     #[test]
     fn cache_flag_parsing() {
         assert_eq!(
-            cache_mb_flag(&argv(&["flow", "OTA1", "--cache-mb", "128"]), 64),
+            cache_mb_flag(&argv(&["serve", "OTA1", "--cache-mb", "128"]), 64),
             128
         );
-        assert_eq!(cache_mb_flag(&argv(&["flow", "OTA1"]), 64), 64, "default");
+        assert_eq!(cache_mb_flag(&argv(&["serve", "OTA1"]), 64), 64, "default");
         assert_eq!(
             cache_mb_flag(&argv(&["--cache-mb", "lots"]), 32),
             32,

@@ -53,7 +53,6 @@ fn small_dataset_cfg() -> DatasetConfig {
     DatasetConfig {
         samples: 6,
         shard_size: 3,
-        cache_mb: 0,
         // Quick (zero-delay) retries: the injected faults are keyed by
         // (sample, attempt), so later attempts draw fresh and recover.
         retry: RetryPolicy::quick(5),
@@ -153,7 +152,6 @@ fn flow_degrades_to_unguided_fallback_when_every_candidate_fails() {
             pool_size: 2,
             n_derive: 2,
             lbfgs_iters: 3,
-            cache_mb: 0,
             ..RelaxConfig::default()
         })
         .build()
@@ -193,7 +191,6 @@ fn relax_reinitializes_injected_nonfinite_restarts() {
         pool_size: 3,
         n_derive: 2,
         lbfgs_iters: 4,
-        cache_mb: 0,
         ..RelaxConfig::default()
     };
 
@@ -222,7 +219,6 @@ fn relax_survives_nan_value_grad_injection() {
         pool_size: 3,
         n_derive: 2,
         lbfgs_iters: 4,
-        cache_mb: 0,
         ..RelaxConfig::default()
     };
 
@@ -258,7 +254,6 @@ fn env_armed_flow_completes() {
             pool_size: 2,
             n_derive: 2,
             lbfgs_iters: 3,
-            cache_mb: 0,
             ..RelaxConfig::default()
         })
         .build()
@@ -369,7 +364,6 @@ fn fleet_worker_kill_heals_bit_identically() {
         c_high: 2.4,
         checkpoint: checkpoint.to_string_lossy().into_owned(),
         threads: 1,
-        cache_mb: 0,
     };
     let cfg = spec_config(&spec).unwrap();
     let design = spec_design(&spec).unwrap();

@@ -2,9 +2,12 @@
 //! produce identical outputs — placements, routes, datasets, trained
 //! weights, and derived guidance.
 
+use std::sync::{Mutex, PoisonError};
+
 use analogfold_suite::analogfold::{
-    generate_dataset, guidance_field, relax, AnalogFoldFlow, DatasetConfig, FlowConfig, GnnConfig,
-    GnnProgram, GraphTensors, HeteroGraph, Potential, RelaxConfig, ThreeDGnn,
+    generate_dataset, guidance_field, relax, set_cache_enabled, AnalogFoldFlow, DatasetConfig,
+    FlowConfig, GnnConfig, GnnProgram, GraphTensors, HeteroGraph, Potential, RelaxConfig,
+    ThreeDGnn,
 };
 use analogfold_suite::extract::extract;
 use analogfold_suite::netlist::benchmarks;
@@ -180,19 +183,36 @@ fn relaxation_thread_count_invariant() {
     }
 }
 
-/// The caching contract: memoization is a pure wall-clock optimization, so
-/// a flow run with the caches enabled (tensor prefix, `f_theta` memo,
-/// dataset result cache) must be bit-identical to a run with every cache
-/// sized to zero — at any worker count.
+/// Serializes the tests that flip the process-wide tensor-prefix cache
+/// switch: while a test holds it, the switch is where that test put it.
+static CACHE_SWITCH: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the tensor-prefix cache switched off and switches it back
+/// on afterwards, also when `f` panics. Callers hold [`CACHE_SWITCH`].
+fn with_cache_off<R>(f: impl FnOnce() -> R) -> R {
+    struct On;
+    impl Drop for On {
+        fn drop(&mut self) {
+            set_cache_enabled(true);
+        }
+    }
+    set_cache_enabled(false);
+    let _on = On;
+    f()
+}
+
+/// The caching contract: the tensor-prefix cache is a pure wall-clock
+/// optimization, so a flow run with it on must be bit-identical to a run
+/// with it switched off — at any worker count.
 #[test]
 fn flow_outcome_identical_with_cache_on_and_off() {
+    let _switch = CACHE_SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
     let circuit = benchmarks::ota1();
     let placement = place(&circuit, PlacementVariant::A);
-    let builder = |cache_mb: u64, threads: usize| {
+    let builder = |threads: usize| {
         FlowConfig::builder()
             .samples(4)
             .threads(threads)
-            .cache_mb(cache_mb)
             .gnn(GnnConfig {
                 epochs: 3,
                 hidden: 8,
@@ -203,22 +223,23 @@ fn flow_outcome_identical_with_cache_on_and_off() {
                 restarts: 2,
                 n_derive: 1,
                 lbfgs_iters: 5,
-                cache_mb,
                 ..RelaxConfig::default()
             })
             .build()
             .unwrap()
     };
-    let off = AnalogFoldFlow::new(builder(0, 1))
-        .run(&circuit, &placement)
-        .unwrap();
-    for (cache_mb, threads) in [(32, 1), (32, 4)] {
-        let on = AnalogFoldFlow::new(builder(cache_mb, threads))
+    let off = with_cache_off(|| {
+        AnalogFoldFlow::new(builder(1))
+            .run(&circuit, &placement)
+            .unwrap()
+    });
+    for threads in [1, 4] {
+        let on = AnalogFoldFlow::new(builder(threads))
             .run(&circuit, &placement)
             .unwrap();
         assert_eq!(
             off.guidance, on.guidance,
-            "guidance must be bit-identical (cache {cache_mb} MiB, {threads} threads)"
+            "guidance must be bit-identical (cache on, {threads} threads)"
         );
         assert_eq!(off.layout.nets, on.layout.nets);
         assert_eq!(off.performance, on.performance);
@@ -230,12 +251,12 @@ fn flow_outcome_identical_with_cache_on_and_off() {
     }
 }
 
-/// The same contract at the relaxation tier: enabling the `f_theta` memo
-/// must not change a single bit of the relaxation pool, at any worker
-/// count — a memo hit returns exactly the floats the evaluation would have
-/// produced.
+/// The same contract at the relaxation tier: a potential built with the
+/// tensor-prefix cache on must relax to the same bits as one built with it
+/// off, at any worker count.
 #[test]
 fn relaxation_cache_on_off_thread_count_invariant() {
+    let _switch = CACHE_SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
     let circuit = benchmarks::ota1();
     let tech = Technology::nm40();
     let placement = place(&circuit, PlacementVariant::A);
@@ -245,30 +266,27 @@ fn relaxation_cache_on_off_thread_count_invariant() {
         layers: 1,
         ..GnnConfig::default()
     });
-    let run = |threads: usize, cache_mb: u64| {
-        let mut potential = Potential::new(&gnn, &graph);
-        potential.enable_memo(cache_mb);
+    let run = |threads: usize| {
         relax(
-            &potential,
+            &Potential::new(&gnn, &graph),
             &RelaxConfig {
                 restarts: 6,
                 pool_size: 3,
                 n_derive: 2,
                 lbfgs_iters: 8,
                 threads,
-                cache_mb,
                 ..RelaxConfig::default()
             },
         )
     };
-    let base = run(1, 0);
-    for (threads, cache_mb) in [(1, 16), (4, 16), (8, 16)] {
-        let out = run(threads, cache_mb);
+    let base = with_cache_off(|| run(1));
+    for threads in [1, 4, 8] {
+        let out = run(threads);
         assert_eq!(base.len(), out.len());
         for (a, b) in base.iter().zip(&out) {
             assert_eq!(
                 a.guidance, b.guidance,
-                "guidance must be bit-identical (cache {cache_mb} MiB, {threads} threads)"
+                "guidance must be bit-identical (cache on, {threads} threads)"
             );
             assert_eq!(
                 a.potential.to_bits(),

@@ -220,7 +220,6 @@ fn distributed_gen_matches_single_process_dataset() {
         c_high: 2.4,
         checkpoint: checkpoint.to_string_lossy().into_owned(),
         threads: 1,
-        cache_mb: 0,
     };
     let cfg = spec_config(&spec).unwrap();
     let design = spec_design(&spec).unwrap();
