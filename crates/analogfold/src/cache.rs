@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use af_cache::{Cache, CacheBuilder, CacheStats, ContentHash, ContentHasher, FnWeigher};
+use af_cache::{Cache, CacheBuilder, ContentHash, ContentHasher, FnWeigher};
 
 use crate::gnn::GraphTensors;
 use crate::hetero::HeteroGraph;
@@ -155,12 +155,6 @@ pub(crate) fn tensors_cached(graph: &HeteroGraph) -> Arc<GraphTensors> {
         return Arc::new(GraphTensors::new(graph));
     }
     tensor_cache().get_or_insert_with(graph_hash(graph), || Arc::new(GraphTensors::new(graph)))
-}
-
-/// Hit/miss counters of the process-wide tensor-prefix cache.
-#[must_use]
-pub fn tensor_cache_stats() -> CacheStats {
-    tensor_cache().stats()
 }
 
 #[cfg(test)]

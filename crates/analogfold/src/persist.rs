@@ -156,7 +156,7 @@ pub fn write_durable(
 
 impl ShardStore {
     /// Store rooted at `dir` (created lazily on first save) with the
-    /// default write [`RetryPolicy`].
+    /// default write [`af_fault::RetryPolicy`].
     pub fn new(dir: impl Into<std::path::PathBuf>) -> Self {
         Self {
             dir: dir.into(),

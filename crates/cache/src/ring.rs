@@ -19,7 +19,7 @@
 //! replica list: the first entry is the owner, the second is the
 //! retry-on-other-replica target when the owner is unreachable.
 //!
-//! Hashing goes through [`ContentHasher`](crate::ContentHasher), whose
+//! Hashing goes through [`ContentHasher`], whose
 //! output is pinned by golden vectors — assignments are stable across
 //! platforms and workspace versions, which the fleet smoke tests rely
 //! on.

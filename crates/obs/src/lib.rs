@@ -177,7 +177,7 @@ pub fn with_parent<R>(parent: &str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A timed span, open until dropped. Created by [`span`] / [`span_idx`] /
+/// A timed span, open until dropped. Created by [`span()`] / [`span_idx`] /
 /// the [`span!`] macro.
 ///
 /// While open, the span is the parent of any span opened later on the same

@@ -24,7 +24,9 @@
 //! once per net ([`NetGuidance`]), the nearest guided access point of each
 //! node is memoised in a dense [`StampedMap`] shared by the searches of one
 //! net ([`SearchState::net`]), and a task's claim overlay is another
-//! dense map ([`crate::view::TaskView`]).
+//! dense map ([`crate::view::TaskView`]). Each relaxed edge is read and
+//! priced in one pass ([`StepCost::step`]), writes one 16-byte label, and
+//! is found by flat-index stride, so a relaxation decodes no flat index.
 
 use af_geom::{Axis, Dir3, GridDim, GridPoint};
 use af_netlist::NetId;
@@ -162,9 +164,20 @@ impl StampedMap {
     }
 }
 
+/// One node's A* label: its best path cost, the node it was reached from
+/// (`u32::MAX` for a source) and the search generation that wrote it. One
+/// 16-byte record per node, so a relaxation reads and writes one place
+/// instead of three parallel arrays.
+#[derive(Clone, Copy)]
+struct Label {
+    dist: f64,
+    came: u32,
+    stamp: u32,
+}
+
 /// Reusable search scratch space (stamped so clearing is O(1) per search).
 ///
-/// Holds the label arrays and the open list of one search, and the
+/// Holds the labels and the open list of one search, and the
 /// nearest-AP memo that the searches of one net share
 /// ([`SearchState::net`]). In a parallel round each worker owns one of
 /// these (in its thread-local buffers), never sharing search state across
@@ -172,9 +185,7 @@ impl StampedMap {
 /// module swaps in a binary-heap oracle.
 #[derive(Default)]
 pub(crate) struct SearchState<Q = BucketQueue> {
-    dist: Vec<f64>,
-    came: Vec<u32>,
-    stamp: Vec<u32>,
+    labels: Vec<Label>,
     target_stamp: Vec<u32>,
     cur: u32,
     open: Q,
@@ -193,10 +204,13 @@ impl<Q> SearchState<Q> {
     }
 
     fn ensure(&mut self, len: usize) {
-        if self.dist.len() < len {
-            self.dist.resize(len, 0.0);
-            self.came.resize(len, u32::MAX);
-            self.stamp.resize(len, 0);
+        if self.labels.len() < len {
+            let unset = Label {
+                dist: 0.0,
+                came: u32::MAX,
+                stamp: 0,
+            };
+            self.labels.resize(len, unset);
             self.target_stamp.resize(len, 0);
         }
     }
@@ -204,7 +218,7 @@ impl<Q> SearchState<Q> {
     fn next_gen(&mut self) {
         self.cur = self.cur.wrapping_add(1);
         if self.cur == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.labels.iter_mut().for_each(|l| l.stamp = 0);
             self.target_stamp.iter_mut().for_each(|s| *s = 0);
             self.cur = 1;
         }
@@ -252,90 +266,115 @@ pub(crate) struct StepCost<'a, G: GridView> {
     pub enforce_mirror: bool,
 }
 
+/// Who owns a node the search may stand on, as the step cost sees it.
+#[derive(Clone, Copy)]
+enum Owner {
+    Free,
+    /// The routed net or its mirror partner.
+    Ours,
+    /// Another net (never at one of its pins: those are impassable).
+    Other,
+}
+
+/// One read of a node's occupancy: its [`Owner`] and, under mirrored
+/// routing, the mirror node's index when another net owns that.
+struct Occupancy {
+    owner: Owner,
+    mirror_taken: Option<usize>,
+}
+
 impl<G: GridView> StepCost<'_, G> {
-    /// Whether the search may stand on `idx` (grid point `g`) at all.
-    fn passable(&self, idx: usize, g: GridPoint) -> bool {
-        let grid = self.grid;
-        if grid.is_blocked(idx) {
-            return false;
-        }
-        if let Some(owner) = grid.owner(idx) {
-            if owner != self.net && Some(owner) != self.mirror_net && grid.is_pin(idx) {
-                return false; // never touch another net's pin
-            }
-        }
-        if self.enforce_mirror {
-            // Mirrored routing is confined to the net's own (left) half-plane
-            // so a route can never collide with its own mirror image.
-            if g.x >= grid.axis_col() {
-                return false;
-            }
-            match grid.mirror(g) {
-                None => return false,
-                Some(m) => {
-                    let midx = grid.dim().flat_index(m);
-                    if grid.is_blocked(midx) {
-                        return false;
-                    }
-                    if let Some(owner) = grid.owner(midx) {
-                        if owner != self.net && Some(owner) != self.mirror_net && grid.is_pin(midx)
-                        {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
+    /// Whether `owner`'s resources look like the routed net's own.
+    fn is_ours(&self, owner: NetId) -> bool {
+        owner == self.net || Some(owner) == self.mirror_net
     }
 
-    /// Cost of stepping onto `idx` (grid point `g`) along `axis`.
-    fn enter_cost(
+    /// Reads the occupancy of `idx` (grid point `g`) and, under mirrored
+    /// routing, of its mirror node: the blocked flag, the owner, and the pin
+    /// flag where another net owns the node, once each. `None` where the
+    /// search may not stand on `idx`: a blocked node or another net's pin;
+    /// under mirrored routing also a node on or right of the symmetry axis,
+    /// and one whose mirror is off the grid, blocked or another net's pin.
+    /// Mirrored routing is confined to the net's own (left) half-plane so a
+    /// route can never collide with its own mirror image.
+    ///
+    /// Forced inline, like [`guidance_multiplier`]: each has two callers,
+    /// LLVM keeps both out of line, and the two calls per relaxed edge made
+    /// the Table-2 routes take 23–32% more CPU time (DESIGN §13).
+    #[inline(always)]
+    fn occupancy(&self, idx: usize, g: GridPoint) -> Option<Occupancy> {
+        let grid = self.grid;
+        if grid.is_blocked(idx) {
+            return None;
+        }
+        let owner = match grid.owner(idx) {
+            None => Owner::Free,
+            Some(o) if self.is_ours(o) => Owner::Ours,
+            Some(_) if grid.is_pin(idx) => return None, // never touch another net's pin
+            Some(_) => Owner::Other,
+        };
+        let mut mirror_taken = None;
+        if self.enforce_mirror {
+            if g.x >= grid.axis_col() {
+                return None;
+            }
+            let midx = grid.dim().flat_index(grid.mirror(g)?);
+            if grid.is_blocked(midx) {
+                return None;
+            }
+            match grid.owner(midx) {
+                Some(o) if !self.is_ours(o) => {
+                    if grid.is_pin(midx) {
+                        return None;
+                    }
+                    mirror_taken = Some(midx);
+                }
+                _ => {}
+            }
+        }
+        Some(Occupancy {
+            owner,
+            mirror_taken,
+        })
+    }
+
+    /// Cost of stepping onto `idx` (grid point `g`) along `axis` on
+    /// `layer`, or `None` where the search may not stand on `idx`
+    /// ([`StepCost::occupancy`]). The nearest-AP memo is only filled for
+    /// nodes the search may stand on.
+    fn step(
         &self,
         idx: usize,
         g: GridPoint,
         axis: Axis,
         layer: u8,
         nearest: &mut StampedMap,
-    ) -> f64 {
-        let grid = self.grid;
+    ) -> Option<f64> {
+        let occ = self.occupancy(idx, g)?;
         let cfg = self.cfg;
         let mut cost = match axis {
             Axis::Z => cfg.via_cost,
-            a => {
-                let preferred = grid_preferred(layer, a);
-                if preferred {
-                    1.0
-                } else {
-                    cfg.wrong_dir_mult
-                }
-            }
+            a if grid_preferred(layer, a) => 1.0,
+            _ => cfg.wrong_dir_mult,
         };
-        let guide = guidance_multiplier(self.guidance, grid.dim(), idx, g, axis, nearest);
+        let guide = guidance_multiplier(self.guidance, self.grid.dim(), idx, g, axis, nearest);
         cost *= (guide * self.guidance_norm).max(cfg.min_guidance);
         // Congestion negotiation. History applies even on currently-free
         // nodes (PathFinder): a node that keeps being contested must repel
         // every net, not just the late-comer.
-        let mut penalty = f64::from(grid.history(idx));
-        if let Some(owner) = grid.owner(idx) {
-            if owner == self.net || Some(owner) == self.mirror_net {
+        let mut penalty = f64::from(self.grid.history(idx));
+        match occ.owner {
+            Owner::Free => {}
+            Owner::Ours => {
                 cost *= cfg.reuse_discount;
                 penalty = 0.0;
-            } else {
-                penalty += cfg.present_cost;
             }
+            Owner::Other => penalty += cfg.present_cost,
         }
-        if self.enforce_mirror {
-            if let Some(m) = grid.mirror(g) {
-                let midx = grid.dim().flat_index(m);
-                if let Some(owner) = grid.owner(midx) {
-                    if owner != self.net && Some(owner) != self.mirror_net {
-                        penalty += cfg.present_cost + f64::from(grid.history(midx));
-                    }
-                }
-            }
+        if let Some(midx) = occ.mirror_taken {
+            penalty += cfg.present_cost + f64::from(self.grid.history(midx));
         }
-        cost + penalty
+        Some(cost + penalty)
     }
 }
 
@@ -344,6 +383,10 @@ impl<G: GridView> StepCost<'_, G> {
 /// non-uniform guidance the nearest access point of `idx` is computed once
 /// and memoised in `nearest`, with the same strict-`<` tie-break (the
 /// first listed of equidistant access points wins).
+///
+/// Forced inline, as [`StepCost::step`] calls it once per relaxed edge; see
+/// the note on `StepCost::occupancy`.
+#[inline(always)]
 fn guidance_multiplier(
     guidance: NetGuidance<'_>,
     dim: &GridDim,
@@ -397,6 +440,10 @@ fn search<G: GridView, Q: OpenList>(
     buffers: &mut SearchState<Q>,
 ) -> Option<FoundPath> {
     let dim = *step.grid.dim();
+    debug_assert!(
+        dim.nx() >= 2 && dim.ny() >= 2,
+        "stride axes need nx, ny >= 2, as RoutingGrid::new makes them"
+    );
     buffers.ensure(dim.len());
     buffers.next_gen();
     let gen = buffers.cur;
@@ -405,8 +452,7 @@ fn search<G: GridView, Q: OpenList>(
         buffers.target_stamp[t] = gen;
     }
     let target_points: Vec<GridPoint> = targets.iter().map(|&t| dim.from_flat(t)).collect();
-    let h = |node: usize| -> f64 {
-        let g = dim.from_flat(node);
+    let h = |g: GridPoint| -> f64 {
         let mut best = u64::MAX;
         for t in &target_points {
             best = best.min(g.manhattan(*t));
@@ -417,13 +463,16 @@ fn search<G: GridView, Q: OpenList>(
     let open = &mut buffers.open;
     open.clear();
     for &s in sources {
-        if !step.passable(s, dim.from_flat(s)) {
+        let gs = dim.from_flat(s);
+        if step.occupancy(s, gs).is_none() {
             continue;
         }
-        buffers.dist[s] = 0.0;
-        buffers.stamp[s] = gen;
-        buffers.came[s] = u32::MAX;
-        open.push(h(s), 0.0, s);
+        buffers.labels[s] = Label {
+            dist: 0.0,
+            came: u32::MAX,
+            stamp: gen,
+        };
+        open.push(h(gs), 0.0, s);
     }
 
     // Best target reached so far: μ. The search keeps going until the open
@@ -447,7 +496,8 @@ fn search<G: GridView, Q: OpenList>(
                 continue; // cannot beat the best target already found
             }
         }
-        if buffers.stamp[node] == gen && g > buffers.dist[node] + 1e-12 {
+        let label = buffers.labels[node];
+        if label.stamp == gen && g > label.dist + 1e-12 {
             continue; // stale entry
         }
         expansions += 1;
@@ -461,41 +511,39 @@ fn search<G: GridView, Q: OpenList>(
         // Approximate bend cost: compare each candidate direction with the
         // direction this node was reached from (path-dependent, so not a
         // strict A* cost — standard maze-router practice).
-        let incoming_axis = if buffers.came[node] != u32::MAX {
-            axis_between(dim.from_flat(buffers.came[node] as usize), gp)
-        } else {
-            None
-        };
+        let incoming_axis =
+            (label.came != u32::MAX).then(|| stride_axis(&dim, node, label.came as usize));
         for dir in Dir3::ALL {
-            let Some((ng, nidx)) = neighbor(&dim, gp, dir) else {
+            let Some((nidx, ng)) = stride_neighbor(&dim, node, gp, dir) else {
                 continue;
             };
-            if !step.passable(nidx, ng) {
-                continue;
-            }
-            let layer = if dir.axis() == Axis::Z {
+            let axis = dir.axis();
+            let layer = if axis == Axis::Z {
                 gp.l.max(ng.l)
             } else {
                 ng.l
             };
+            let Some(enter) = step.step(nidx, ng, axis, layer, &mut buffers.nearest) else {
+                continue;
+            };
             let bend = match incoming_axis {
-                Some(axis) if axis != dir.axis() && axis != Axis::Z && dir.axis() != Axis::Z => {
-                    step.cfg.bend_penalty
-                }
+                Some(a) if a != axis && a != Axis::Z && axis != Axis::Z => step.cfg.bend_penalty,
                 _ => 0.0,
             };
-            let ncost =
-                g + step.enter_cost(nidx, ng, dir.axis(), layer, &mut buffers.nearest) + bend;
-            if buffers.stamp[nidx] != gen || ncost + 1e-12 < buffers.dist[nidx] {
-                let nf = ncost + h(nidx);
+            let ncost = g + enter + bend;
+            let next = &mut buffers.labels[nidx];
+            if next.stamp != gen || ncost + 1e-12 < next.dist {
+                let nf = ncost + h(ng);
                 if let Some((mu, _)) = best {
                     if nf >= mu - 1e-12 {
                         continue; // prune: optimistic completion already loses
                     }
                 }
-                buffers.stamp[nidx] = gen;
-                buffers.dist[nidx] = ncost;
-                buffers.came[nidx] = node as u32;
+                *next = Label {
+                    dist: ncost,
+                    came: node as u32,
+                    stamp: gen,
+                };
                 open.push(nf, ncost, nidx);
             }
         }
@@ -504,46 +552,59 @@ fn search<G: GridView, Q: OpenList>(
     let (cost, end) = best?;
     let mut nodes = vec![end];
     let mut cur = end;
-    while buffers.came[cur] != u32::MAX {
-        cur = buffers.came[cur] as usize;
+    while buffers.labels[cur].came != u32::MAX {
+        cur = buffers.labels[cur].came as usize;
         nodes.push(cur);
     }
     nodes.reverse();
     Some(FoundPath { nodes, cost })
 }
 
-/// Axis of the (unit) step from `a` to `b`, `None` when coincident.
-fn axis_between(a: GridPoint, b: GridPoint) -> Option<Axis> {
-    if a.x != b.x {
-        Some(Axis::X)
-    } else if a.y != b.y {
-        Some(Axis::Y)
-    } else if a.l != b.l {
-        Some(Axis::Z)
-    } else {
-        None
+/// The in-bounds neighbour of `node` (grid point `gp`) along `dir`, with
+/// its grid point: `node ± 1` along x, `± nx` along y and `± nx·ny` along z.
+/// `None` at the grid border.
+#[inline]
+fn stride_neighbor(
+    dim: &GridDim,
+    node: usize,
+    gp: GridPoint,
+    dir: Dir3,
+) -> Option<(usize, GridPoint)> {
+    let nx = dim.nx() as usize;
+    let plane = nx * dim.ny() as usize;
+    match dir {
+        Dir3::East if gp.x + 1 < dim.nx() => Some((node + 1, GridPoint::new(gp.x + 1, gp.y, gp.l))),
+        Dir3::West if gp.x > 0 => Some((node - 1, GridPoint::new(gp.x - 1, gp.y, gp.l))),
+        Dir3::North if gp.y + 1 < dim.ny() => {
+            Some((node + nx, GridPoint::new(gp.x, gp.y + 1, gp.l)))
+        }
+        Dir3::South if gp.y > 0 => Some((node - nx, GridPoint::new(gp.x, gp.y - 1, gp.l))),
+        Dir3::Up if gp.l + 1 < dim.layers() => {
+            Some((node + plane, GridPoint::new(gp.x, gp.y, gp.l + 1)))
+        }
+        Dir3::Down if gp.l > 0 => Some((node - plane, GridPoint::new(gp.x, gp.y, gp.l - 1))),
+        _ => None,
     }
 }
 
-/// In-bounds neighbor of `gp` along `dir`, with its flat index.
-fn neighbor(dim: &af_geom::GridDim, gp: GridPoint, dir: Dir3) -> Option<(GridPoint, usize)> {
-    let (dx, dy, dz) = dir.delta();
-    let nxt = (
-        i64::from(gp.x) + dx,
-        i64::from(gp.y) + dy,
-        i64::from(gp.l) + dz,
-    );
-    if nxt.0 < 0
-        || nxt.1 < 0
-        || nxt.2 < 0
-        || nxt.0 >= i64::from(dim.nx())
-        || nxt.1 >= i64::from(dim.ny())
-        || nxt.2 >= i64::from(dim.layers())
-    {
-        return None;
+/// Axis of the unit step between adjacent nodes `a` and `b`, read from
+/// their flat-index distance: 1 along x, `nx` along y, `nx·ny` along z.
+/// The three differ because a routing grid has `nx, ny ≥ 2`.
+#[inline]
+fn stride_axis(dim: &GridDim, a: usize, b: usize) -> Axis {
+    let d = a.abs_diff(b);
+    if d == 1 {
+        Axis::X
+    } else if d == dim.nx() as usize {
+        Axis::Y
+    } else {
+        debug_assert_eq!(
+            d,
+            dim.nx() as usize * dim.ny() as usize,
+            "{a} and {b} are not adjacent"
+        );
+        Axis::Z
     }
-    let ng = GridPoint::new(nxt.0 as u32, nxt.1 as u32, nxt.2 as u8);
-    Some((ng, dim.flat_index(ng)))
 }
 
 #[cfg(test)]
@@ -554,7 +615,7 @@ mod tests {
     use super::*;
     use crate::access::PinAccessMap;
     use crate::grid::RoutingGrid;
-    use crate::guidance::{NonUniformGuidance, RoutingGuidance};
+    use crate::guidance::{GuidanceMap2D, NonUniformGuidance, RoutingGuidance};
     use crate::view::TaskView;
     use af_geom::{CostTriple, Point, Point3};
     use af_netlist::benchmarks;
@@ -668,10 +729,143 @@ mod tests {
     fn stamp_generation_wraps_safely() {
         let mut b = SearchState::<BucketQueue>::default();
         b.ensure(4);
+        b.labels[2].stamp = u32::MAX;
+        b.target_stamp[3] = u32::MAX;
         b.cur = u32::MAX;
         b.next_gen();
         assert_eq!(b.cur, 1);
-        assert!(b.stamp.iter().all(|&s| s == 0));
+        assert!(b.labels.iter().all(|l| l.stamp == 0));
+        assert!(b.target_stamp.iter().all(|&s| s == 0));
+    }
+
+    /// On a 5×4×3 grid every one of the six borders occurs. For every node,
+    /// in [`Dir3::ALL`] order, the stride neighbour is the flat index of the
+    /// delta point, or absent exactly where that point is off the grid, and
+    /// the axis read from the index distance is the step's axis, both ways.
+    #[test]
+    fn stride_neighbours_match_delta_points() {
+        let dim = GridDim::new(Point::new(-3, 5), 5, 4, 3, 2);
+        let mut borders = [0usize; 6];
+        for node in 0..dim.len() {
+            let gp = dim.from_flat(node);
+            for (k, dir) in Dir3::ALL.into_iter().enumerate() {
+                let (dx, dy, dz) = dir.delta();
+                let (x, y, l) = (
+                    i64::from(gp.x) + dx,
+                    i64::from(gp.y) + dy,
+                    i64::from(gp.l) + dz,
+                );
+                let inside = (0..5).contains(&x) && (0..4).contains(&y) && (0..3).contains(&l);
+                match stride_neighbor(&dim, node, gp, dir) {
+                    None => {
+                        assert!(!inside, "{gp} has a {dir:?} neighbour");
+                        borders[k] += 1;
+                    }
+                    Some((nidx, ng)) => {
+                        let want = GridPoint::new(x as u32, y as u32, l as u8);
+                        assert!(inside, "{gp} has no {dir:?} neighbour");
+                        assert_eq!(ng, want);
+                        assert_eq!(nidx, dim.flat_index(want));
+                        assert_eq!(stride_axis(&dim, node, nidx), dir.axis());
+                        assert_eq!(stride_axis(&dim, nidx, node), dir.axis());
+                    }
+                }
+            }
+        }
+        // East/West borders hold 4·3 nodes each, North/South 5·3, Up/Down 5·4.
+        assert_eq!(borders, [12, 12, 15, 15, 20, 20]);
+    }
+
+    /// The two-pass step that [`StepCost::step`] replaced, kept as its
+    /// reference: `passable`, then `enter_cost`, each reading the node's
+    /// owner (and under mirrored routing the mirror node's) again.
+    impl<G: GridView> StepCost<'_, G> {
+        /// Whether the search may stand on `idx` (grid point `g`) at all.
+        fn passable(&self, idx: usize, g: GridPoint) -> bool {
+            let grid = self.grid;
+            if grid.is_blocked(idx) {
+                return false;
+            }
+            if let Some(owner) = grid.owner(idx) {
+                if owner != self.net && Some(owner) != self.mirror_net && grid.is_pin(idx) {
+                    return false; // never touch another net's pin
+                }
+            }
+            if self.enforce_mirror {
+                // Mirrored routing is confined to the net's own (left) half-plane
+                // so a route can never collide with its own mirror image.
+                if g.x >= grid.axis_col() {
+                    return false;
+                }
+                match grid.mirror(g) {
+                    None => return false,
+                    Some(m) => {
+                        let midx = grid.dim().flat_index(m);
+                        if grid.is_blocked(midx) {
+                            return false;
+                        }
+                        if let Some(owner) = grid.owner(midx) {
+                            if owner != self.net
+                                && Some(owner) != self.mirror_net
+                                && grid.is_pin(midx)
+                            {
+                                return false;
+                            }
+                        }
+                    }
+                }
+            }
+            true
+        }
+
+        /// Cost of stepping onto `idx` (grid point `g`) along `axis`.
+        fn enter_cost(
+            &self,
+            idx: usize,
+            g: GridPoint,
+            axis: Axis,
+            layer: u8,
+            nearest: &mut StampedMap,
+        ) -> f64 {
+            let grid = self.grid;
+            let cfg = self.cfg;
+            let mut cost = match axis {
+                Axis::Z => cfg.via_cost,
+                a => {
+                    let preferred = grid_preferred(layer, a);
+                    if preferred {
+                        1.0
+                    } else {
+                        cfg.wrong_dir_mult
+                    }
+                }
+            };
+            let guide = guidance_multiplier(self.guidance, grid.dim(), idx, g, axis, nearest);
+            cost *= (guide * self.guidance_norm).max(cfg.min_guidance);
+            // Congestion negotiation. History applies even on currently-free
+            // nodes (PathFinder): a node that keeps being contested must repel
+            // every net, not just the late-comer.
+            let mut penalty = f64::from(grid.history(idx));
+            if let Some(owner) = grid.owner(idx) {
+                if owner == self.net || Some(owner) == self.mirror_net {
+                    cost *= cfg.reuse_discount;
+                    penalty = 0.0;
+                } else {
+                    penalty += cfg.present_cost;
+                }
+            }
+            if self.enforce_mirror {
+                if let Some(m) = grid.mirror(g) {
+                    let midx = grid.dim().flat_index(m);
+                    if let Some(owner) = grid.owner(midx) {
+                        if owner != self.net && Some(owner) != self.mirror_net {
+                            penalty += cfg.present_cost + f64::from(grid.history(midx));
+                        }
+                    }
+                }
+            }
+            cost + penalty
+        }
     }
 
     /// An entry written before the stamp wraps must not read back after it,
@@ -886,6 +1080,118 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// The one-pass `step` equals the two-pass reference on OTA1-A's
+        /// grid in random negotiation state: other nets' wires and pins,
+        /// random history, the task's own stale base claims (which the
+        /// `TaskView` hides), overlay claims of the net and of its mirror
+        /// partner, mirrored routing on and off, and no, non-uniform and map
+        /// guidance. At random nodes (half of them pins, claimed nodes and
+        /// their mirror images), axes and layers, `step` is `None` exactly
+        /// where `passable` is false and elsewhere equals `enter_cost` bit
+        /// for bit, and both leave the same nearest-AP memo entry.
+        #[test]
+        fn one_pass_step_matches_two_pass_reference(
+            seed in 0u64..u64::MAX,
+            enforce_mirror_bit in 0usize..2,
+            guidance_kind in 0usize..3,
+        ) {
+            let c = benchmarks::ota1();
+            let p = place(&c, PlacementVariant::A);
+            let mut base = RoutingGrid::new(&c, &p, &Technology::nm40(), 2);
+            let aps = PinAccessMap::extract(&c, &p, &mut base);
+            let dim = *base.dim();
+            let len = dim.len();
+            let mut rng = proptest::TestRng::new(seed);
+            let (a, b) = c.symmetric_net_pairs()[0];
+            let (net, partner) = if rng.index(2) == 0 { (a, b) } else { (b, a) };
+            let mirror_net = (rng.index(3) > 0).then_some(partner);
+
+            // Base state: wires of random nets (the task's own included, as
+            // stale claims of its previous round) and random history.
+            let mut interesting: Vec<usize> = (0..len).filter(|&i| base.is_pin(i)).collect();
+            for _ in 0..len / 8 {
+                let idx = rng.index(len);
+                if base.claim(idx, NetId::new(rng.index(c.nets().len()) as u32)) {
+                    interesting.push(idx);
+                }
+                base.bump_history(rng.index(len), (rng.unit_f64() * 80.0) as f32);
+            }
+            let mut overlay = StampedMap::default();
+            let mut view = TaskView::new(&base, [Some(net), mirror_net], &mut overlay);
+            for _ in 0..len / 32 {
+                let idx = rng.index(len);
+                if view.claim_node(idx, if rng.index(2) == 0 { net } else { partner }) {
+                    interesting.push(idx);
+                }
+            }
+            let mirrors: Vec<usize> = interesting
+                .iter()
+                .filter_map(|&i| base.mirror(dim.from_flat(i)).map(|m| dim.flat_index(m)))
+                .collect();
+            interesting.extend(mirrors);
+
+            let guidance = match guidance_kind {
+                0 => RoutingGuidance::None,
+                1 => {
+                    let mut field = NonUniformGuidance::new();
+                    for ap in aps.of_net(net) {
+                        let mut m = || 0.4 + rng.unit_f64() * 1.8;
+                        field.set(net, dim.to_dbu(ap.node), CostTriple([m(), m(), m()]));
+                    }
+                    RoutingGuidance::NonUniform(field)
+                }
+                _ => {
+                    let o = dim.origin();
+                    let size = (i64::from(dim.nx()) * dim.pitch(), i64::from(dim.ny()) * dim.pitch());
+                    let mut map = GuidanceMap2D::new(6, 5, (o.x, o.y), size);
+                    map.set_net(net, (0..30).map(|_| 0.2 + rng.unit_f64() * 2.8).collect());
+                    RoutingGuidance::Map(map)
+                }
+            };
+            let cfg = RouterConfig {
+                via_cost: 1.0 + rng.unit_f64() * 4.0,
+                wrong_dir_mult: 1.0 + rng.unit_f64() * 3.0,
+                present_cost: 0.5 + rng.unit_f64() * 60.0,
+                reuse_discount: 0.1 + rng.unit_f64() * 0.9,
+                min_guidance: 0.1 + rng.unit_f64() * 0.4,
+                ..Default::default()
+            };
+            let step = StepCost {
+                grid: &view,
+                guidance: guidance.of_net(net),
+                guidance_norm: guidance.scale_floor(net).recip(),
+                cfg: &cfg,
+                net,
+                mirror_net,
+                enforce_mirror: enforce_mirror_bit == 1,
+            };
+            let mut fused_memo = StampedMap::default();
+            fused_memo.clear(len);
+            let mut reference_memo = StampedMap::default();
+            reference_memo.clear(len);
+            let mut passable = 0;
+            for _ in 0..4096 {
+                let idx = if rng.index(2) == 0 {
+                    interesting[rng.index(interesting.len())]
+                } else {
+                    rng.index(len)
+                };
+                let g = dim.from_flat(idx);
+                let axis = Axis::ALL[rng.index(3)];
+                let layer = rng.index(usize::from(dim.layers())) as u8;
+                let got = step.step(idx, g, axis, layer, &mut fused_memo);
+                if step.passable(idx, g) {
+                    passable += 1;
+                    let want = step.enter_cost(idx, g, axis, layer, &mut reference_memo);
+                    prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()));
+                } else {
+                    prop_assert!(got.is_none(), "step onto impassable {g}: {got:?}");
+                }
+                prop_assert_eq!(fused_memo.get(idx), reference_memo.get(idx));
+            }
+            prop_assert!(passable > 0, "every sampled node was impassable");
         }
     }
 }

@@ -201,11 +201,6 @@ impl RoutingGrid {
     pub fn node_dbu(&self, idx: usize) -> Point3 {
         self.dim.to_dbu(self.dim.from_flat(idx))
     }
-
-    /// Number of free nodes (for tests / diagnostics).
-    pub fn free_count(&self) -> usize {
-        self.occ.iter().filter(|&&o| o == FREE).count()
-    }
 }
 
 #[cfg(test)]

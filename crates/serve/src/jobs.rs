@@ -230,7 +230,7 @@ impl JobStore {
 
 /// The worker pool draining the route-job queue. Each worker runs under a
 /// [`Supervisor`]: a panic escaping a job (jobs are individually fenced by
-/// `catch_unwind` in [`run_job`], so this is belt-and-suspenders) restarts
+/// `catch_unwind` in `run_job`, so this is belt-and-suspenders) restarts
 /// the worker after backoff instead of silently shrinking the pool.
 pub struct JobRunner {
     queue: Arc<BoundedQueue<(u64, JobParams, Instant)>>,

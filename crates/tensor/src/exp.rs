@@ -67,7 +67,7 @@ const C12: f64 = 1.0 / 479_001_600.0;
 const C13: f64 = 1.0 / 6_227_020_800.0;
 
 /// Scalar reference path. Every arithmetic step here has a 1:1 AVX2
-/// counterpart in [`avx2`]; keep the two in lockstep (the
+/// counterpart in `avx2`; keep the two in lockstep (the
 /// `avx2_matches_scalar_bitwise` test enforces it).
 #[inline(always)]
 pub fn fast_exp(x: f64) -> f64 {

@@ -4,7 +4,7 @@
 //!
 //! - [`kernels`] — cache-blocked matmul built from `mul_add` chains, its two
 //!   backward forms, and fused `linear`/activation kernels
-//!   ([`matmul_bias_relu`](kernels::matmul_bias_relu) and friends);
+//!   ([`matmul_bias_relu`] and friends);
 //! - [`exp`] — a deterministic vectorized `exp`/sigmoid/SiLU (AVX2 with a
 //!   bit-identical scalar fallback) that removes the libm bottleneck from
 //!   activation- and RBF-heavy replays;

@@ -110,8 +110,7 @@ pub fn obs_install(flags: &ObsFlags) -> Result<Option<af_obs::ObsGuard>, String>
 /// `--cache-mb N` sizes the response cache in MiB (falling back to
 /// `default` when absent or malformed) and `--no-cache` disables caching
 /// entirely, returning `0` and switching the process-wide tensor-prefix
-/// cache off through
-/// [`analogfold::set_cache_enabled`](crate::analogfold::set_cache_enabled).
+/// cache off through [`analogfold::set_cache_enabled`].
 /// Caching never changes results — cached and uncached runs are
 /// bit-identical — so `--no-cache` is a debugging/benchmarking aid, not a
 /// correctness knob.
