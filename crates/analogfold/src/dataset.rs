@@ -10,11 +10,13 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use af_extract::extract;
+use af_extract::{extract, Parasitics};
 use af_geom::CostTriple;
 use af_netlist::Circuit;
 use af_place::Placement;
-use af_route::{NonUniformGuidance, RouteError, Router, RouterConfig, RoutingGuidance};
+use af_route::{
+    NonUniformGuidance, RouteError, RoutedLayout, Router, RouterConfig, RoutingGuidance,
+};
 use af_sim::{simulate, Performance, SimConfig, SimError};
 use af_tech::Technology;
 
@@ -307,8 +309,11 @@ pub fn guidance_field_for(
     guidance_field(&graph, guidance)
 }
 
+/// The layout a sample was routed to and the parasitics extracted from it.
+pub(crate) type Routed = (RoutedLayout, Parasitics);
+
 /// Routes + extracts + simulates one guidance assignment.
-pub fn evaluate_guidance(
+fn evaluate_guidance(
     circuit: &Circuit,
     placement: &Placement,
     tech: &Technology,
@@ -316,14 +321,15 @@ pub fn evaluate_guidance(
     guidance: &[f64],
     router: &RouterConfig,
     sim: &SimConfig,
-) -> Result<Performance, DatasetError> {
+) -> Result<(Routed, Performance), DatasetError> {
     let field = RoutingGuidance::NonUniform(guidance_field(graph, guidance));
     let layout = Router::new(router.clone())
         .map_err(|e| DatasetError::Route(RouteError::from(e)))?
         .route(circuit, placement, tech, &field)
         .map_err(DatasetError::Route)?;
     let parasitics = extract(circuit, tech, &layout);
-    simulate(circuit, Some(&parasitics), sim).map_err(DatasetError::Sim)
+    let performance = simulate(circuit, Some(&parasitics), sim).map_err(DatasetError::Sim)?;
+    Ok(((layout, parasitics), performance))
 }
 
 /// Number of checkpoint shards `cfg` produces: `ceil(samples / shard_size)`.
@@ -349,6 +355,8 @@ pub fn shard_range(cfg: &DatasetConfig, shard_index: usize) -> std::ops::Range<u
 /// process, worker, or thread computed it: the single-process generator and
 /// the fleet's distributed workers both come here, so they run the
 /// byte-for-byte same code path (the bit-identity contract depends on it).
+/// Beside each record comes the sample's layout and parasitics, or the
+/// error that persisted after retries; neither is ever serialized.
 fn eval_range(
     circuit: &Circuit,
     placement: &Placement,
@@ -356,7 +364,7 @@ fn eval_range(
     graph: &HeteroGraph,
     cfg: &DatasetConfig,
     range: std::ops::Range<usize>,
-) -> Vec<(SampleRecord, Option<DatasetError>)> {
+) -> Vec<(SampleRecord, Result<Routed, DatasetError>)> {
     let n_guided = graph.guided_ap_indices().len();
     let (lo, hi) = (cfg.c_low.ln(), cfg.c_high.ln());
     let indices: Vec<usize> = range.collect();
@@ -375,9 +383,9 @@ fn eval_range(
             let result = cfg.retry.run(
                 "dataset.sample",
                 DatasetError::is_transient,
-                |attempt| -> Result<Performance, DatasetError> {
+                |attempt| -> Result<(Routed, Performance), DatasetError> {
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || -> Result<Performance, DatasetError> {
+                        || -> Result<(Routed, Performance), DatasetError> {
                             af_fault::fail!(
                                 "sim.eval",
                                 key = af_fault::mix(i as u64, u64::from(attempt)),
@@ -402,13 +410,13 @@ fn eval_range(
                 },
             );
             match result {
-                Ok(performance) => (
+                Ok((routed, performance)) => (
                     SampleRecord {
                         guidance,
                         performance: Some(performance),
                         error: None,
                     },
-                    None,
+                    Ok(routed),
                 ),
                 Err(e) => {
                     af_obs::counter("dataset.samples_failed", 1);
@@ -419,7 +427,7 @@ fn eval_range(
                             performance: None,
                             error: Some(e.to_string()),
                         },
-                        Some(e),
+                        Err(e),
                     )
                 }
             }
@@ -561,8 +569,23 @@ pub fn generate_dataset_checkpointed(
     cfg: &DatasetConfig,
     checkpoint: Option<&ShardStore>,
 ) -> Result<Dataset, DatasetError> {
+    generate_routed(circuit, placement, tech, graph, cfg, checkpoint).map(|(dataset, _)| dataset)
+}
+
+/// [`generate_dataset_checkpointed`], also returning each sample's layout
+/// and parasitics in sample order: `None` for a sample resumed from a
+/// checkpoint shard, which was not routed in this run.
+pub(crate) fn generate_routed(
+    circuit: &Circuit,
+    placement: &Placement,
+    tech: &Technology,
+    graph: &HeteroGraph,
+    cfg: &DatasetConfig,
+    checkpoint: Option<&ShardStore>,
+) -> Result<(Dataset, Vec<Option<Routed>>), DatasetError> {
     let _gen = af_obs::span!("generate_dataset");
     let mut samples = Vec::with_capacity(cfg.samples);
+    let mut routed = Vec::with_capacity(cfg.samples);
 
     for shard_index in 0..shard_count(cfg) {
         let range = shard_range(cfg, shard_index);
@@ -578,6 +601,7 @@ pub fn generate_dataset_checkpointed(
                     af_obs::counter("dataset.shards_resumed", 1);
                     af_obs::counter("dataset.samples_resumed", shard.len() as u64);
                     samples.extend(shard.into_iter().filter_map(SampleRecord::into_sample));
+                    routed.resize_with(samples.len(), || None);
                     continue;
                 }
             }
@@ -589,11 +613,11 @@ pub fn generate_dataset_checkpointed(
         // lowest-index permanent failure aborts generation. With one, the
         // failure is recorded in the shard instead and the run continues.
         if checkpoint.is_none() {
-            if let Some(e) = evaluated.iter().find_map(|(_, e)| e.clone()) {
-                return Err(e);
+            if let Some(e) = evaluated.iter().find_map(|(_, r)| r.as_ref().err()) {
+                return Err(e.clone());
             }
         }
-        let shard: Vec<SampleRecord> = evaluated.into_iter().map(|(r, _)| r).collect();
+        let (shard, results): (Vec<SampleRecord>, Vec<_>) = evaluated.into_iter().unzip();
         af_obs::counter(
             "dataset.samples_generated",
             shard.iter().filter(|r| r.performance.is_some()).count() as u64,
@@ -605,9 +629,13 @@ pub fn generate_dataset_checkpointed(
                 .map_err(|e| DatasetError::Checkpoint(e.to_string()))?;
             af_obs::counter("dataset.shards_written", 1);
         }
-        samples.extend(shard.into_iter().filter_map(SampleRecord::into_sample));
+        // A record carries a performance exactly when its result is `Ok`.
+        for (record, result) in shard.into_iter().zip(results) {
+            samples.extend(record.into_sample());
+            routed.extend(result.ok().map(Some));
+        }
     }
-    Ok(Dataset { samples })
+    Ok((Dataset { samples }, routed))
 }
 
 /// Generates a dataset spanning several placements of the same circuit —
@@ -759,9 +787,11 @@ mod tests {
         // Simulate an interrupted run: drop the final (partial-width) shard,
         // then resume — shards 0 and 1 load, shard 2 regenerates.
         std::fs::remove_file(store.shard_path(2)).unwrap();
-        let resumed =
-            generate_dataset_checkpointed(&c, &p, &t, &graph, &cfg, Some(&store)).unwrap();
+        let (resumed, routed) = generate_routed(&c, &p, &t, &graph, &cfg, Some(&store)).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+        // Only the regenerated sample was routed in this run.
+        let was_routed: Vec<bool> = routed.iter().map(Option::is_some).collect();
+        assert_eq!(was_routed, [false, false, false, false, true]);
 
         assert_eq!(plain.len(), 5);
         for (a, b) in plain.samples.iter().zip(&first.samples) {

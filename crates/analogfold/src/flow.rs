@@ -12,7 +12,10 @@ use af_route::{RouteError, RoutedLayout, Router, RouterConfig, RoutingGuidance};
 use af_sim::{simulate, Performance, SimConfig, SimError};
 use af_tech::Technology;
 
-use crate::dataset::{generate_dataset, guidance_field, DatasetConfig, DatasetError, TargetStats};
+use crate::dataset::{
+    generate_routed, guidance_field, Dataset, DatasetConfig, DatasetError, Routed, Sample,
+    TargetStats,
+};
 use crate::error::Error;
 use crate::gnn::{GnnConfig, ThreeDGnn, TrainReport};
 use crate::hetero::HeteroGraph;
@@ -38,6 +41,13 @@ impl std::fmt::Debug for ObsSinkHandle {
 /// Prefer [`FlowConfig::builder`], which validates at `build()` time; the
 /// struct itself stays public (and fully field-constructible) for
 /// backwards compatibility.
+///
+/// When `router` equals `dataset.router` in every field but `threads`, and
+/// `sim` equals `dataset.sim`, a guidance candidate that is bit for bit a
+/// dataset sample takes that sample's layout, parasitics and metrics
+/// instead of being routed and simulated again (layouts do not depend on
+/// the router's thread count). With any other difference every candidate
+/// is routed.
 #[derive(Debug, Clone, Default)]
 pub struct FlowConfig {
     /// Technology (defaults to the 40 nm-class stack).
@@ -50,9 +60,11 @@ pub struct FlowConfig {
     pub gnn: GnnConfig,
     /// Potential-relaxation settings.
     pub relax: RelaxConfig,
-    /// Router settings for the final guided routing.
+    /// Router settings for the final guided routing. Dataset samples are
+    /// reused only when this equals `dataset.router` but for `threads`.
     pub router: RouterConfig,
-    /// Simulator settings for the final evaluation.
+    /// Simulator settings for the final evaluation. Dataset samples are
+    /// reused only when this equals `dataset.sim`.
     pub sim: SimConfig,
     /// Wall-clock seconds spent on placement (reported in the Fig. 5
     /// breakdown; the flow itself takes the placement as input).
@@ -334,7 +346,9 @@ pub struct FlowOutcome {
     /// the unguided [`magical_route`] fallback (counter
     /// `flow.fallback_unguided`).
     pub guidance: Vec<f64>,
-    /// The guided routing solution.
+    /// The guided routing solution. When the answer is a dataset sample
+    /// (counter `flow.best_is_sample`), this is the layout the dataset stage
+    /// routed, and its `runtime_s` is that routing's time.
     pub layout: RoutedLayout,
     /// Extracted parasitics of the final layout.
     pub parasitics: Parasitics,
@@ -375,7 +389,9 @@ impl AnalogFoldFlow {
     /// 3. relax the potential to derive guidance candidates (guide
     ///    generation),
     /// 4. route each candidate, extract, simulate, and keep the best by the
-    ///    FoM on normalized metrics (guided routing).
+    ///    FoM on normalized metrics (guided routing). A candidate that is bit
+    ///    for bit a dataset sample takes the layout, parasitics and metrics
+    ///    of step 2 instead (see [`FlowConfig`] for when).
     ///
     /// # Errors
     ///
@@ -396,17 +412,9 @@ impl AnalogFoldFlow {
         });
 
         // 2. Dataset + training.
-        let (trained, training_s) = af_obs::timed_span("training", || {
-            let dataset = generate_dataset(circuit, placement, &cfg.tech, &graph, &cfg.dataset)?;
-            let mut gnn = ThreeDGnn::new(&cfg.gnn);
-            let train_report = gnn.train(&graph, &dataset, &cfg.gnn);
-            Ok::<_, Error>((dataset, gnn, train_report))
-        });
-        let (dataset, gnn, train_report) = trained?;
-
-        // Warm-start seeds: the best simulated guidance assignments from the
-        // training set (the relaxation pool admits arbitrary initializers).
-        let seeds = best_dataset_seeds(&gnn, &dataset, 3);
+        let (trained, training_s) =
+            af_obs::timed_span("training", || self.train(circuit, placement, &graph));
+        let (gnn, train_report, seeds, reusable) = trained?;
 
         self.infer(
             circuit,
@@ -417,7 +425,56 @@ impl AnalogFoldFlow {
             construct_db_s,
             training_s,
             seeds,
+            &reusable,
         )
+    }
+
+    /// Step 2 of [`AnalogFoldFlow::run`]: generates the dataset and trains
+    /// the 3DGNN on it. Also returns the warm-start seeds, the best
+    /// simulated guidance assignments of the dataset (the relaxation pool
+    /// admits arbitrary initializers), and the samples guided routing may
+    /// reuse ([`AnalogFoldFlow::reusable_samples`]).
+    #[allow(clippy::type_complexity)]
+    fn train(
+        &self,
+        circuit: &Circuit,
+        placement: &Placement,
+        graph: &HeteroGraph,
+    ) -> Result<(ThreeDGnn, TrainReport, Vec<Vec<f64>>, Vec<RoutedSample>), Error> {
+        let cfg = &self.cfg;
+        let (dataset, routed) =
+            generate_routed(circuit, placement, &cfg.tech, graph, &cfg.dataset, None)?;
+        let mut gnn = ThreeDGnn::new(&cfg.gnn);
+        let train_report = gnn.train(graph, &dataset, &cfg.gnn);
+        let seeds = best_dataset_seeds(&gnn, &dataset, 3);
+        let reusable = self.reusable_samples(dataset, routed, &seeds);
+        Ok((gnn, train_report, seeds, reusable))
+    }
+
+    /// The dataset samples whose guidance is bit for bit a warm-start seed,
+    /// with the layouts and parasitics the dataset stage made for them; the
+    /// other samples' layouts are dropped here. Empty unless the guided
+    /// routing stage routes and simulates as the dataset stage did.
+    fn reusable_samples(
+        &self,
+        dataset: Dataset,
+        routed: Vec<Option<Routed>>,
+        seeds: &[Vec<f64>],
+    ) -> Vec<RoutedSample> {
+        let cfg = &self.cfg;
+        // Layouts do not depend on the router's thread count.
+        let mut router = cfg.router.clone();
+        router.threads = cfg.dataset.router.threads;
+        if router != cfg.dataset.router || cfg.sim != cfg.dataset.sim {
+            return Vec::new();
+        }
+        dataset
+            .samples
+            .into_iter()
+            .zip(routed)
+            .filter(|(sample, _)| seeds.iter().any(|seed| same_bits(seed, &sample.guidance)))
+            .filter_map(|(sample, routed)| Some((sample, routed?)))
+            .collect()
     }
 
     /// Runs inference only, reusing an already-trained model — the
@@ -454,11 +511,14 @@ impl AnalogFoldFlow {
             construct_db_s,
             0.0,
             Vec::new(),
+            &[],
         )
     }
 
     /// Shared inference tail: relax the potential, route the candidates,
-    /// keep the best by simulated FoM.
+    /// keep the best by simulated FoM. A candidate whose guidance is bit for
+    /// bit one of the `reusable` samples takes that sample's layout,
+    /// parasitics and metrics instead of being routed and simulated.
     #[allow(clippy::too_many_arguments)]
     fn infer(
         &self,
@@ -470,6 +530,7 @@ impl AnalogFoldFlow {
         construct_db_s: f64,
         training_s: f64,
         seeds: Vec<Vec<f64>>,
+        reusable: &[RoutedSample],
     ) -> Result<FlowOutcome, Error> {
         let cfg = &self.cfg;
 
@@ -494,15 +555,36 @@ impl AnalogFoldFlow {
                         key = i as u64,
                         Error::config(af_fault::injected("flow.candidate"))
                     );
-                    let field = RoutingGuidance::NonUniform(guidance_field(&graph, &cand.guidance));
-                    let layout = router
-                        .route(circuit, placement, &cfg.tech, &field)
-                        .map_err(Error::from)?;
-                    let parasitics = extract(circuit, &cfg.tech, &layout);
-                    let perf =
-                        simulate(circuit, Some(&parasitics), &cfg.sim).map_err(Error::from)?;
+                    // Routing, extracting and simulating a dataset sample
+                    // again would reproduce the dataset stage's results.
+                    let sample = reusable
+                        .iter()
+                        .find(|(sample, _)| same_bits(&sample.guidance, &cand.guidance));
+                    let (is_sample, layout, parasitics, perf) = match sample {
+                        Some((sample, (layout, parasitics))) => {
+                            (true, layout.clone(), parasitics.clone(), sample.performance)
+                        }
+                        None => {
+                            let field =
+                                RoutingGuidance::NonUniform(guidance_field(&graph, &cand.guidance));
+                            let layout = router
+                                .route(circuit, placement, &cfg.tech, &field)
+                                .map_err(Error::from)?;
+                            let parasitics = extract(circuit, &cfg.tech, &layout);
+                            let perf = simulate(circuit, Some(&parasitics), &cfg.sim)
+                                .map_err(Error::from)?;
+                            (false, layout, parasitics, perf)
+                        }
+                    };
                     let score = simulated_fom(stats, &perf.as_array());
-                    Ok::<_, Error>((score, cand.guidance.clone(), layout, parasitics, perf))
+                    Ok::<_, Error>((
+                        score,
+                        is_sample,
+                        cand.guidance.clone(),
+                        layout,
+                        parasitics,
+                        perf,
+                    ))
                 })
                 .unwrap_or_else(|e| panic!("candidate evaluation failed: {e}"))
         });
@@ -513,12 +595,15 @@ impl AnalogFoldFlow {
         // layout instead of aborting a run that may have hours of training
         // behind it.
         let mut best: Option<(f64, Vec<f64>, RoutedLayout, Parasitics, Performance)> = None;
+        let (mut reused, mut best_is_sample) = (0, false);
         for (i, result) in evaluated.into_iter().enumerate() {
             match result {
-                Ok((score, guidance, layout, parasitics, perf)) => {
+                Ok((score, is_sample, guidance, layout, parasitics, perf)) => {
+                    reused += u64::from(is_sample);
                     let better = best.as_ref().map(|(s, ..)| score < *s).unwrap_or(true);
                     if better {
                         best = Some((score, guidance, layout, parasitics, perf));
+                        best_is_sample = is_sample;
                     }
                 }
                 Err(e) => {
@@ -527,6 +612,8 @@ impl AnalogFoldFlow {
                 }
             }
         }
+        af_obs::counter("flow.candidates_reused", reused);
+        af_obs::counter("flow.best_is_sample", u64::from(best_is_sample));
         let (_, guidance, layout, parasitics, performance) = match best {
             Some(found) => found,
             None => {
@@ -556,6 +643,15 @@ impl AnalogFoldFlow {
     }
 }
 
+/// A dataset sample with the layout and parasitics the dataset stage
+/// routed and extracted for it.
+type RoutedSample = (Sample, Routed);
+
+/// Whether two guidance vectors are equal bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// The FoM relaxation minimizes, applied to simulated metrics: the
 /// [`FOM_WEIGHTS`]-weighted sum of the normalized metrics (lower is better).
 fn simulated_fom(stats: &TargetStats, metrics: &[f64; 5]) -> f64 {
@@ -569,11 +665,11 @@ fn simulated_fom(stats: &TargetStats, metrics: &[f64; 5]) -> f64 {
 
 /// The `k` dataset guidance vectors with the best simulated weighted FoM
 /// (clamped into the relaxation's feasible region).
-fn best_dataset_seeds(gnn: &ThreeDGnn, dataset: &crate::Dataset, k: usize) -> Vec<Vec<f64>> {
+fn best_dataset_seeds(gnn: &ThreeDGnn, dataset: &Dataset, k: usize) -> Vec<Vec<f64>> {
     let stats = gnn.stats();
     let (lo, hi) = gnn.guidance_bounds();
     let eps = (hi - lo) * 1e-3;
-    let mut scored: Vec<(f64, &crate::Sample)> = dataset
+    let mut scored: Vec<(f64, &Sample)> = dataset
         .samples
         .iter()
         .map(|s| (simulated_fom(stats, &s.metrics()), s))
@@ -617,7 +713,116 @@ pub fn magical_route(
 mod tests {
     use super::*;
     use af_netlist::benchmarks;
+    use af_obs::{Event, MemorySink};
     use af_place::{place, PlacementVariant};
+
+    /// A seeded OTA1-A flow in which some guidance candidates are dataset
+    /// samples: a raw warm-start seed makes the top `n_derive`.
+    fn reusing_flow() -> FlowConfig {
+        FlowConfig::builder()
+            .samples(4)
+            .gnn(GnnConfig {
+                epochs: 3,
+                hidden: 8,
+                layers: 1,
+                ..GnnConfig::default()
+            })
+            .restarts(4)
+            .n_derive(3)
+            .seed(1)
+            .threads(1)
+            .build()
+            .unwrap()
+    }
+
+    /// The flushed value of counter `name`, if it was emitted.
+    fn counter(sink: &MemorySink, name: &str) -> Option<u64> {
+        sink.events().iter().find_map(|e| match e {
+            Event::Counter { name: n, value, .. } if n == name => Some(*value),
+            _ => None,
+        })
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn reused_candidates_match_routing_them_again() {
+        let _obs = crate::OBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let c = benchmarks::ota1();
+        let p = place(&c, PlacementVariant::A);
+        let flow = AnalogFoldFlow::new(reusing_flow());
+        let cfg = flow.config();
+        let graph = HeteroGraph::build(&c, &p, &cfg.tech, cfg.graph_knn);
+        let (gnn, report, seeds, reusable) = flow.train(&c, &p, &graph).unwrap();
+        assert!(!reusable.is_empty(), "a seed is a dataset sample");
+
+        // What the dataset stage kept is what guided routing would make.
+        let router = Router::new(cfg.router.clone()).unwrap();
+        for (sample, (layout, parasitics)) in &reusable {
+            let field = RoutingGuidance::NonUniform(guidance_field(&graph, &sample.guidance));
+            let fresh = router.route(&c, &p, &cfg.tech, &field).unwrap();
+            assert_eq!(fresh.nets, layout.nets);
+            let fresh_parasitics = extract(&c, &cfg.tech, &fresh);
+            assert_eq!(&fresh_parasitics, parasitics);
+            let perf = simulate(&c, Some(&fresh_parasitics), &cfg.sim).unwrap();
+            assert_eq!(bits(&perf.as_array()), bits(&sample.performance.as_array()));
+        }
+
+        let infer = |reusable: &[RoutedSample]| {
+            let (graph, gnn, report) = (graph.clone(), gnn.clone(), report.clone());
+            flow.infer(
+                &c,
+                &p,
+                graph,
+                gnn,
+                report,
+                0.0,
+                0.0,
+                seeds.clone(),
+                reusable,
+            )
+            .unwrap()
+        };
+        let sink = Arc::new(MemorySink::new());
+        let guard = af_obs::install(sink.clone());
+        let reused = infer(&reusable);
+        drop(guard);
+        assert!(
+            counter(&sink, "flow.candidates_reused").is_some_and(|n| n >= 1),
+            "at least one candidate is a dataset sample"
+        );
+        assert!(counter(&sink, "flow.best_is_sample").is_some());
+
+        let routed = infer(&[]);
+        assert_eq!(bits(&reused.guidance), bits(&routed.guidance));
+        assert_eq!(reused.layout.nets, routed.layout.nets);
+        assert_eq!(reused.parasitics, routed.parasitics);
+        assert_eq!(
+            bits(&reused.performance.as_array()),
+            bits(&routed.performance.as_array())
+        );
+    }
+
+    #[test]
+    fn a_different_dataset_simulator_reuses_nothing() {
+        let _obs = crate::OBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let c = benchmarks::ota1();
+        let p = place(&c, PlacementVariant::A);
+        let sink = Arc::new(MemorySink::new());
+        let mut cfg = reusing_flow();
+        cfg.dataset.sim.points_per_decade += 1;
+        cfg.obs = Some(ObsSinkHandle(sink.clone()));
+        let outcome = AnalogFoldFlow::new(cfg).run(&c, &p).unwrap();
+        assert!(!outcome.guidance.is_empty());
+        assert_eq!(counter(&sink, "flow.candidates_reused"), Some(0));
+        assert_eq!(counter(&sink, "flow.best_is_sample"), Some(0));
+    }
 
     #[test]
     fn breakdown_percentages_sum_to_100() {
@@ -652,6 +857,9 @@ mod tests {
         use crate::dataset::generate_dataset;
         use af_tech::Technology;
 
+        let _obs = crate::OBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let c = benchmarks::ota1();
         let p = place(&c, PlacementVariant::A);
         let tech = Technology::nm40();
@@ -693,6 +901,9 @@ mod tests {
 
     #[test]
     fn tiny_flow_end_to_end() {
+        let _obs = crate::OBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let c = benchmarks::ota1();
         let p = place(&c, PlacementVariant::A);
         let cfg = FlowConfig {

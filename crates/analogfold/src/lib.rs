@@ -75,3 +75,8 @@ pub use gnn::{GnnConfig, GnnProgram, GraphTensors, ThreeDGnn, TrainReport};
 pub use hetero::{ApNode, EdgeKind, HeteroGraph, ModuleNode};
 pub use persist::{write_durable, PersistError, ShardStore};
 pub use potential::{relax, relax_seeded, Potential, PotentialEval, RelaxConfig, RelaxOutcome};
+
+/// Serializes the unit tests that install the process-global af-obs sink
+/// and the ones that run a flow, whose counters would land in that sink.
+#[cfg(test)]
+static OBS_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

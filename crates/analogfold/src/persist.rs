@@ -569,6 +569,9 @@ mod tests {
         store.save_shard(0, &vec![1u32, 2]).unwrap();
         std::fs::write(store.shard_path(0), "{definitely not json").unwrap();
 
+        let _obs = crate::OBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let sink = std::sync::Arc::new(af_obs::MemorySink::new());
         let guard = af_obs::install(sink.clone());
         assert!(store.load_shard::<Vec<u32>>(0).unwrap().is_none());

@@ -36,7 +36,7 @@ use crate::{RoutedLayout, RoutedNet};
 /// start from [`RouterConfig::default`] and adjust fields. The struct is
 /// `#[non_exhaustive]`: downstream crates must go through the builder or
 /// field-by-field mutation, which lets new knobs land without breakage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct RouterConfig {
     /// Grid-pitch multiplier over the technology pitch (1 = full density).
@@ -418,11 +418,17 @@ struct SearchBuffers {
 }
 
 thread_local! {
-    /// Per-worker search scratch: A* labels, the nearest-AP memo and the
+    /// Per-thread search scratch: A* labels, the nearest-AP memo and the
     /// dense claim overlay of [`TaskView`], about 36 bytes per grid node.
-    /// `afrt` scopes its workers per `par_map` call, so these are
-    /// re-initialized each round — still a win, because every net a worker
-    /// routes within a round reuses one allocation.
+    /// At one router thread, and in a round with one pending task,
+    /// `Router::round` routes on the calling thread, whose buffers then
+    /// last across rounds and routes for as long as that thread lives.
+    /// With more router threads a round runs on workers that `afrt` spawns
+    /// for that round's `par_map`: each allocates and fills its buffers, the
+    /// nets it routes in the round share them, and the round's end frees
+    /// them. On OTA4-B at two router threads that costs 5–25 ms of CPU per
+    /// round over both workers, against 270–520 ms per route (DESIGN.md
+    /// §13).
     static BUFFERS: RefCell<SearchBuffers> = RefCell::new(SearchBuffers::default());
 }
 

@@ -10,7 +10,7 @@ use crate::mna::{AdjointSolution, Network, SimError, SupplyMode};
 use crate::Complex;
 
 /// Simulator settings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Sweep start frequency (Hz).
     pub f_start: f64,

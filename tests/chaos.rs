@@ -18,6 +18,7 @@
 //!    `degraded` until the supervisor's replacement thread proves stable.
 
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use analogfold_suite::analogfold::{
@@ -27,6 +28,7 @@ use analogfold_suite::analogfold::{
 };
 use analogfold_suite::fault::{self, FaultMode, RetryPolicy};
 use analogfold_suite::netlist::{benchmarks, NetId};
+use analogfold_suite::obs::{Event, MemorySink};
 use analogfold_suite::place::{place, PlacementVariant};
 use analogfold_suite::route::{Router, RouterConfig, RoutingGuidance};
 use analogfold_suite::serve::api::{HealthResponse, PredictResponse};
@@ -176,6 +178,45 @@ fn flow_degrades_to_unguided_fallback_when_every_candidate_fails() {
     )
     .unwrap();
     assert_eq!(outcome.performance, unguided);
+}
+
+#[test]
+fn reused_candidates_still_pass_the_candidate_failpoint() {
+    let circuit = benchmarks::ota1();
+    let placement = place(&circuit, PlacementVariant::A);
+    // A seeded flow in which two of the three candidates are dataset
+    // samples, which guided routing takes from the dataset stage.
+    let builder = FlowConfig::builder()
+        .samples(4)
+        .gnn(GnnConfig {
+            epochs: 3,
+            hidden: 8,
+            layers: 1,
+            ..GnnConfig::default()
+        })
+        .restarts(4)
+        .n_derive(3)
+        .seed(1)
+        .threads(1);
+    let sink = Arc::new(MemorySink::new());
+    let _guard = fault::scenario();
+    AnalogFoldFlow::new(builder.clone().obs(sink.clone()).build().unwrap())
+        .run(&circuit, &placement)
+        .unwrap();
+    let reused = sink.events().iter().find_map(|e| match e {
+        Event::Counter { name, value, .. } if name == "flow.candidates_reused" => Some(*value),
+        _ => None,
+    });
+    assert!(reused.is_some_and(|n| n >= 1), "reused {reused:?}");
+
+    // The failpoint comes first, so it fails every candidate, reused or not.
+    fault::arm("flow.candidate", FaultMode::Err, 1.0);
+    let outcome = AnalogFoldFlow::new(builder.build().unwrap())
+        .run(&circuit, &placement)
+        .unwrap();
+    let stats = fault::stats("flow.candidate").unwrap();
+    assert_eq!((stats.evals, stats.fires), (3, 3));
+    assert!(outcome.guidance.is_empty(), "unguided fallback");
 }
 
 #[test]
