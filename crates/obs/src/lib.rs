@@ -89,9 +89,12 @@ fn with_state<R>(f: impl FnOnce(&Inner) -> R) -> Option<R> {
 
 /// Installs `sink` and enables recording until the returned guard drops.
 ///
-/// Replaces any previously installed sink. On drop the guard flushes every
-/// counter, gauge, and histogram as one event each (name-sorted, so flush
-/// order is deterministic), flushes the sink, and disables recording.
+/// Replaces any previously installed sink: from here on every event goes
+/// to this one. On drop the guard flushes every counter, gauge, and
+/// histogram recorded into its own registry as one event each (name-sorted,
+/// so flush order is deterministic) to its own sink, flushes that sink, and
+/// disables recording, unless a later `install` has replaced it, in which
+/// case the later guard's recording carries on.
 #[must_use]
 pub fn install(sink: Arc<dyn Sink>) -> ObsGuard {
     let inner = Arc::new(Inner {
@@ -99,17 +102,21 @@ pub fn install(sink: Arc<dyn Sink>) -> ObsGuard {
         sink,
         seq: AtomicU64::new(0),
     });
-    *STATE
+    let mut state = STATE
         .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(inner);
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    *state = Some(Arc::clone(&inner));
     ENABLED.store(true, Ordering::SeqCst);
     ObsGuard {
+        state: inner,
         flushed: std::cell::Cell::new(false),
     }
 }
 
 /// Keeps recording enabled while alive; see [`install`].
 pub struct ObsGuard {
+    /// The registry and sink this guard installed.
+    state: Arc<Inner>,
     flushed: std::cell::Cell<bool>,
 }
 
@@ -120,28 +127,33 @@ impl ObsGuard {
         if self.flushed.replace(true) {
             return;
         }
-        with_state(|i| {
-            for e in i.registry.metric_events(|| i.next_seq()) {
-                i.sink.emit(&e);
-            }
-            i.sink.flush();
-        });
+        let i = &self.state;
+        for e in i.registry.metric_events(|| i.next_seq()) {
+            i.sink.emit(&e);
+        }
+        i.sink.flush();
     }
 
     /// The human-readable tree report of everything recorded so far.
     #[must_use]
     pub fn report_text(&self) -> String {
-        with_state(|i| report::render(&i.registry)).unwrap_or_default()
+        report::render(&self.state.registry)
     }
 }
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
         self.flush();
-        ENABLED.store(false, Ordering::SeqCst);
-        *STATE
+        let mut state = STATE
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if state
+            .as_ref()
+            .is_some_and(|installed| Arc::ptr_eq(installed, &self.state))
+        {
+            ENABLED.store(false, Ordering::SeqCst);
+            *state = None;
+        }
     }
 }
 
@@ -507,6 +519,26 @@ mod tests {
         drop(guard);
         assert_eq!(sink.events().len(), n, "drop after flush adds nothing");
         assert!(!enabled());
+    }
+
+    #[test]
+    fn dropping_a_replaced_guard_leaves_the_later_install_recording() {
+        let _l = locked();
+        let names = |sink: &MemorySink| -> Vec<String> {
+            sink.events().iter().map(|e| e.name().to_string()).collect()
+        };
+        let sink_a = Arc::new(MemorySink::new());
+        let guard_a = install(sink_a.clone());
+        counter("a.own", 1);
+        let sink_b = Arc::new(MemorySink::new());
+        let guard_b = install(sink_b.clone());
+        drop(guard_a);
+        assert!(enabled(), "B's recording outlives A's guard");
+        assert_eq!(names(&sink_a), vec!["a.own"], "A flushes only its own");
+        counter("b.after_a_dropped", 1);
+        drop(guard_b);
+        assert!(!enabled());
+        assert_eq!(names(&sink_b), vec!["b.after_a_dropped"]);
     }
 
     #[test]

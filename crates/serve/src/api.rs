@@ -60,8 +60,8 @@ pub struct PredictRequest {
 pub struct PredictResponse {
     /// Predicted post-layout metrics for the supplied guidance.
     pub performance: Performance,
-    /// Size of the micro-batch this request was computed in (`1` when no
-    /// other request arrived within the batching window).
+    /// Size of the batch this request was computed in: `1` unless other
+    /// requests were already queued when the collector took it.
     pub batch_size: u64,
 }
 

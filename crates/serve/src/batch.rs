@@ -1,16 +1,17 @@
-//! Cross-request micro-batching for `/v1/predict`.
+//! Cross-request batching for `/v1/predict`.
 //!
 //! A single collector thread owns the compiled [`analogfold::GnnProgram`]
 //! (and with it the mutable inference tape). Handler threads submit jobs into a bounded
-//! queue and block on a reply channel; the collector takes the first job,
-//! then keeps collecting until either `batch_max` jobs are in hand or
-//! `batch_window_us` has elapsed since the first, and runs one batched
-//! pass over the lot.
+//! queue and block on a reply channel; the collector blocks for the first
+//! job, then takes the jobs already queued behind it, up to eight, and runs
+//! them as one batch. It never waits for a job that has not arrived.
 //!
-//! Batching is a throughput optimization, never a semantic one: each batch
-//! element runs through the same session path as a lone request, so
-//! results are bit-identical regardless of how requests were coalesced
-//! (covered by the e2e suite).
+//! A batch shares no compute: each element runs through the same session
+//! path as a lone request, so results are bit-identical regardless of how
+//! requests were coalesced, and a batch-mate is not worth waiting for. What
+//! a batch amortizes is the collector's own bookkeeping: one hot-swap
+//! check, one queue-sojourn observation and one pass through the chaos
+//! failpoints per batch.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -46,7 +47,8 @@ enum Reject {
 pub struct Prediction {
     /// The five denormalized metrics, in [`analogfold`] metric order.
     pub metrics: [f64; 5],
-    /// How many requests shared the forward pass.
+    /// How many requests the collector took off the queue together with
+    /// this one (each still runs its own forward pass).
     pub batch_size: u64,
 }
 
@@ -70,8 +72,15 @@ pub struct Batcher {
     admission: Arc<Admission>,
 }
 
+/// Most jobs one batch takes off the queue. A batch shares no compute, so
+/// the bound only limits how many predictions run between two hot-swap
+/// checks.
+const BATCH_MAX: usize = 8;
+
 /// The collector loop: owns a [`analogfold::GnnProgram`] and drains the
-/// queue in micro-batches until it closes. The loop runs under a
+/// queue until it closes. It blocks for a batch's first job, then takes
+/// only the jobs already queued, up to [`BATCH_MAX`], so a lone request
+/// runs as soon as the collector is free. The loop runs under a
 /// [`Supervisor`], so it must be re-enterable: a panic (real, or injected
 /// via the `serve.batch` failpoint) unwinds out, dropping the in-hand jobs'
 /// reply senders — their waiting handlers observe `Disconnected` and answer
@@ -80,8 +89,6 @@ pub struct Batcher {
 fn collector_loop(
     slot: &ModelSlot,
     q: &BoundedQueue<PredictJob>,
-    batch_max: usize,
-    window: Duration,
     admission: &Admission,
     fault_key: u64,
 ) {
@@ -102,13 +109,8 @@ fn collector_loop(
             af_obs::counter("serve.batch.session_swaps", 1);
         }
         let mut jobs = vec![first];
-        let deadline = Instant::now() + window;
-        while jobs.len() < batch_max {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match q.pop_timeout(deadline - now) {
+        while jobs.len() < BATCH_MAX {
+            match q.pop_timeout(Duration::ZERO) {
                 Some(job) => jobs.push(job),
                 None => break,
             }
@@ -176,8 +178,6 @@ impl Batcher {
     pub fn start(slot: &Arc<ModelSlot>, cfg: &ServeConfig) -> Self {
         let queue: Arc<BoundedQueue<PredictJob>> =
             Arc::new(BoundedQueue::new("serve.predict", cfg.predict_queue));
-        let batch_max = cfg.batch_max.max(1);
-        let window = Duration::from_micros(cfg.batch_window_us);
         let admission = Arc::new(Admission::new(AdmissionConfig {
             target_ms: cfg.admission_target_ms,
             interval_ms: cfg.admission_interval_ms,
@@ -190,7 +190,7 @@ impl Batcher {
             "serve-batcher",
             cfg.supervisor_backoff(),
             cfg.supervisor_grace(),
-            move || collector_loop(&slot, &q, batch_max, window, &adm, fault_key),
+            move || collector_loop(&slot, &q, &adm, fault_key),
         )
         .expect("spawn serve-batcher thread");
         Self {
@@ -330,6 +330,49 @@ mod tests {
         let after = batcher.predict(guidance, Deadline::after(30_000)).unwrap();
         assert_eq!(after.metrics, expected_new);
         batcher.shutdown();
+    }
+
+    #[test]
+    fn collector_batches_what_is_queued_and_answers_bit_identically() {
+        let slot = slot();
+        let len = slot.get().guidance_len();
+        let inputs: Vec<Vec<f64>> = (0..11)
+            .map(|k| (0..len).map(|i| ((i + 3 * k) as f64).sin() * 0.4).collect())
+            .collect();
+        let mut session = slot.get().session();
+        let expected: Vec<[f64; 5]> = inputs.iter().map(|g| session.predict(g)).collect();
+
+        // Everything is queued and the queue closed before the collector
+        // runs, so it takes one full batch, then the rest, then exits.
+        let q = BoundedQueue::new("test.predict", 16);
+        let replies: Vec<_> = inputs
+            .iter()
+            .map(|guidance| {
+                let (tx, rx) = mpsc::channel();
+                q.try_push(PredictJob {
+                    guidance: guidance.clone(),
+                    deadline: Deadline::after(30_000),
+                    enqueued: Instant::now(),
+                    reply: tx,
+                })
+                .expect("queue has room");
+                rx
+            })
+            .collect();
+        q.close();
+        collector_loop(&slot, &q, &Admission::new(AdmissionConfig::default()), 0);
+
+        for (k, (rx, want)) in replies.iter().zip(&expected).enumerate() {
+            let Ok(Ok(got)) = rx.try_recv() else {
+                panic!("job {k} got no prediction");
+            };
+            assert_eq!(got.batch_size, if k < 8 { 8 } else { 3 }, "job {k}");
+            assert_eq!(
+                got.metrics.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "job {k} must match a lone predict bit for bit"
+            );
+        }
     }
 
     #[test]

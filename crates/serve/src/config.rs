@@ -13,11 +13,6 @@ pub struct ServeConfig {
     /// Connection-handler threads. `0` = auto (hardware parallelism,
     /// capped at 8 — handlers mostly wait on the batcher or job queue).
     pub workers: usize,
-    /// Maximum predict requests coalesced into one batched forward pass.
-    pub batch_max: usize,
-    /// How long the collector waits for more predict requests before
-    /// running a partial batch, in microseconds.
-    pub batch_window_us: u64,
     /// Bound of the accepted-connection queue; beyond it the accept loop
     /// sheds with `429`.
     pub conn_queue: usize,
@@ -91,8 +86,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            batch_max: 8,
-            batch_window_us: 2_000,
             conn_queue: 128,
             predict_queue: 256,
             job_queue: 16,
@@ -166,7 +159,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let cfg = ServeConfig::default();
-        assert!(cfg.batch_max >= 1);
         assert!(cfg.resolved_workers() >= 1);
         assert!(cfg
             .resolved_job_dir()

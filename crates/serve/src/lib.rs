@@ -9,7 +9,7 @@
 //!
 //! | route               | behaviour                                          |
 //! |---------------------|----------------------------------------------------|
-//! | `POST /v1/predict`  | metric prediction, **micro-batched** across requests |
+//! | `POST /v1/predict`  | metric prediction, batched with what is queued     |
 //! | `POST /v1/guide`    | potential-relaxation guidance on the `afrt` pool   |
 //! | `POST /v1/route`    | full guided routing as an async job (`202` + id)   |
 //! | `GET /v1/jobs/{id}` | job status/result from the persistent job store    |

@@ -7,7 +7,7 @@
 //! ```text
 //! accept thread ──try_push──▶ conn queue ──pop──▶ N handler workers
 //!                    │ (full: 429 + Retry-After, connection dropped)
-//! handler ──predict──▶ batch queue ──▶ collector thread (micro-batches)
+//! handler ──predict──▶ batch queue ──▶ collector thread (batches what is queued)
 //! handler ──route────▶ job queue ────▶ M job workers (persist to store)
 //! ```
 //!
