@@ -766,13 +766,6 @@ impl GnnProgram {
         self.stats.denormalize(&normalized)
     }
 
-    /// Predicts a batch of guidance vectors. Each element is computed
-    /// independently (identical to calling [`predict`](Self::predict) per
-    /// item), so batching changes throughput, never results.
-    pub fn predict_batch(&mut self, batch: &[Vec<f64>]) -> Vec<[f64; 5]> {
-        batch.iter().map(|c| self.predict(c)).collect()
-    }
-
     /// Forward + backward replay on a FoM program: the weighted FoM of the
     /// normalized prediction and its gradient w.r.t. the guidance vector.
     ///
@@ -1308,10 +1301,6 @@ mod tests {
         // the fresh-graph one-shot path exactly, in any order.
         for c in inputs.iter().chain(inputs.iter().rev()) {
             assert_eq!(session.predict(c), gnn.predict(&graph, c));
-        }
-        let batched = session.predict_batch(&inputs);
-        for (c, got) in inputs.iter().zip(&batched) {
-            assert_eq!(*got, gnn.predict(&graph, c));
         }
     }
 

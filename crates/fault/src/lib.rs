@@ -23,7 +23,7 @@
 //! sample index, a restart index) pass it as the key, so the set of injected
 //! faults — and therefore the retry timeline and the final result — is
 //! bit-identical at any thread count and any interleaving. Sites without a
-//! natural key (e.g. the serve batch collector) fall back to a per-failpoint
+//! natural key (e.g. the serve predict site) fall back to a per-failpoint
 //! counter, which is deterministic only under single-threaded access; chaos
 //! tests assert *recovery* for those, not bit-identity.
 //!
@@ -37,7 +37,7 @@
 //! `name:mode:prob[:max_fires]` entries:
 //!
 //! ```text
-//! AF_FAULT="persist.save_shard:err:0.1,sim.eval:panic:0.02,serve.batch:panic:1.0:1"
+//! AF_FAULT="persist.save_shard:err:0.1,sim.eval:panic:0.02,serve.predict:panic:1.0:1"
 //! AF_FAULT_SEED=42
 //! ```
 //!
@@ -47,11 +47,11 @@
 //! to kill a worker mid-shard); `prob` is the per-evaluation activation
 //! probability in `[0, 1]`; the optional `max_fires` caps how many times the
 //! failpoint fires in total (handy for one-shot crash tests like
-//! `serve.batch:panic:1.0:1` or `fleet.worker_kill:abort:1.0:1`).
+//! `serve.predict:panic:1.0:1` or `fleet.worker_kill:abort:1.0:1`).
 //!
 //! The `delay` mode carries a milliseconds payload and shifts the grammar by
 //! one field — `name:delay:<ms>:prob[:max_fires]`, e.g.
-//! `serve.batch.delay:delay:400:1.0` — and makes the site *slow* instead of
+//! `serve.predict.delay:delay:400:1.0` — and makes the site *slow* instead of
 //! broken: it sleeps and then proceeds normally (used by tail-tolerance
 //! chaos runs to exercise hedging and latency-tripped circuit breakers).
 

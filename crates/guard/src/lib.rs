@@ -5,13 +5,13 @@
 //! against *dead* workers — heartbeat leases expire and the rendezvous ring
 //! drops them — but a merely *slow* worker drags front p99 unboundedly, and
 //! a request that has already blown its client deadline still burns backend
-//! compute all the way through the batch collector or a route job. This
-//! crate packages the four classic tail-tolerance policies as small,
-//! std-only building blocks that both tiers thread through their hot paths:
+//! compute all the way through a prediction or a route job. This crate
+//! packages three classic tail-tolerance policies as small, std-only
+//! building blocks that both tiers thread through their hot paths:
 //!
 //! * [`Deadline`] — end-to-end budgets. Clients set [`DEADLINE_HEADER`]
 //!   (`x-deadline-ms`), the front converts it to an absolute instant and
-//!   forwards the *remaining* budget to the worker it picks, and every queue
+//!   forwards the *remaining* budget to the worker it picks, and every stage
 //!   sheds expired work with `408` *before* doing any compute. [`shed`]
 //!   records where expiry was caught (`guard.deadline_expired.<stage>`).
 //! * [`BreakerSet`] — per-worker circuit breakers. A rolling window of call
@@ -23,27 +23,26 @@
 //!   takes the first response; a token-bucket budget caps the extra load at
 //!   roughly `budget_ratio` of observed traffic. Winners are stamped with
 //!   [`HEDGED_HEADER`].
-//! * [`Admission`] — CoDel-style adaptive admission. Sustained queue
-//!   sojourn above a target converts into early `429`s instead of letting
-//!   latency collapse for everyone.
+//!
+//! Overload needs no admission gate: a worker's predicts run on its
+//! handler threads and wait in no queue behind its bounded connection
+//! queue, which sheds with `429` at accept.
 //!
 //! Every policy is deterministic given its configuration and seed (hedge
 //! jitter reuses the afrt SplitMix64 mixer) and observable through af-obs
 //! counters; none of them allocate on the per-request fast path beyond a
 //! mutex-guarded ring buffer update.
 
-pub mod admission;
 pub mod breaker;
 pub mod deadline;
 pub mod hedge;
 
-pub use admission::{Admission, AdmissionConfig};
 pub use breaker::{BreakerConfig, BreakerSet, BreakerState, BreakerStatus};
 pub use deadline::{parse_header_ms, Deadline, DeadlineError, DEADLINE_HEADER, HEDGED_HEADER};
 pub use hedge::{HedgeConfig, HedgeStats, Hedger};
 
 /// Records that a request was shed because its deadline had already expired
-/// when it reached `stage` (`front`, `conn`, `predict`, `batch`, `job`).
+/// when it reached `stage` (`front`, `conn`, `predict`, `job`).
 ///
 /// The counter name is `guard.deadline_expired.<stage>`; the smoke script
 /// and chaos tests assert on these to prove expired requests never reach the

@@ -20,13 +20,14 @@ pub struct ErrorBody {
 pub struct HealthResponse {
     /// Always `true` when the server can answer at all.
     pub ok: bool,
-    /// `"ok"`, or `"degraded"` while a supervised thread (batch collector,
-    /// job worker) is restarting after a panic or still inside its recovery
-    /// grace window. Degraded is advisory: requests are still served, but a
-    /// load balancer should prefer a healthy replica.
+    /// `"ok"`, or `"degraded"` while a supervised job worker is restarting
+    /// after a panic, or a predict panicked on a handler thread, and the
+    /// recovery grace window has not yet passed. Degraded is advisory:
+    /// requests are still served, but a load balancer should prefer a
+    /// healthy replica.
     pub status: String,
-    /// Supervised-thread panics recovered since startup (collector plus all
-    /// job workers).
+    /// Panics recovered since startup: predict panics caught on the handler
+    /// threads plus job-worker restarts.
     pub restarts: u64,
     /// Benchmark circuit the resident model serves.
     pub circuit: String,
@@ -60,9 +61,6 @@ pub struct PredictRequest {
 pub struct PredictResponse {
     /// Predicted post-layout metrics for the supplied guidance.
     pub performance: Performance,
-    /// Size of the batch this request was computed in: `1` unless other
-    /// requests were already queued when the collector took it.
-    pub batch_size: u64,
 }
 
 /// `POST /v1/guide` request body; every knob is optional.

@@ -11,36 +11,24 @@ pub struct ServeConfig {
     /// reported by [`crate::ServerHandle::addr`]).
     pub addr: String,
     /// Connection-handler threads. `0` = auto (hardware parallelism,
-    /// capped at 8 — handlers mostly wait on the batcher or job queue).
+    /// capped at 8). Each handler runs its predicts on a compiled model of
+    /// its own, built on its first predict.
     pub workers: usize,
     /// Bound of the accepted-connection queue; beyond it the accept loop
     /// sheds with `429`.
     pub conn_queue: usize,
-    /// Bound of the predict (batch) queue; a full queue sheds with `429`.
-    pub predict_queue: usize,
     /// Bound of the route-job queue; a full queue sheds with `429`.
     pub job_queue: usize,
     /// Threads executing route jobs.
     pub job_workers: usize,
-    /// Per-request deadline for queued waits, in milliseconds; exceeding it
-    /// answers `408`. This is the *default* budget — a client `x-deadline-ms`
-    /// header overrides it per request.
-    pub request_deadline_ms: u64,
     /// Upper clamp on client-supplied `x-deadline-ms` budgets, in
     /// milliseconds (`0` disables the clamp). A skewed or hostile client
     /// must not pin work in a queue indefinitely.
     pub deadline_max_ms: u64,
-    /// CoDel-style admission target: once predict-queue sojourn stays above
-    /// this many milliseconds for `admission_interval_ms`, new predict work
-    /// is shed with early `429`s. `0` disables adaptive admission.
-    pub admission_target_ms: u64,
-    /// How long sojourn must stay above `admission_target_ms` before
-    /// shedding starts, in milliseconds.
-    pub admission_interval_ms: u64,
     /// Stable identity this server passes as the key of keyed chaos
-    /// failpoints (e.g. `serve.batch.delay`). With a per-worker key, a
+    /// failpoints (e.g. `serve.predict.delay`). With a per-worker key, a
     /// seeded probability deterministically selects *which* fleet worker a
-    /// fault fires on — every batch on the selected worker, never on the
+    /// fault fires on — every predict on the selected worker, never on the
     /// others.
     pub fault_key: u64,
     /// Keep-alive idle timeout, in milliseconds: a connection with no new
@@ -56,12 +44,12 @@ pub struct ServeConfig {
     /// an `x-no-cache` header). `0` disables it.
     pub cache_mb: u64,
     /// Base backoff (milliseconds) between supervisor restarts of a
-    /// panicked batch collector or job worker (exponential, deterministic
-    /// jitter).
+    /// panicked job worker (exponential, deterministic jitter).
     pub supervisor_backoff_ms: u64,
-    /// Recovery grace (milliseconds): after a supervised thread restarts,
+    /// Recovery grace (milliseconds): after a job worker restarts,
     /// `/healthz` keeps reporting `degraded` until the replacement has
-    /// stayed alive this long.
+    /// stayed alive this long; after a predict panics on a handler thread,
+    /// it reports `degraded` for this long.
     pub supervisor_grace_ms: u64,
     /// Model registry directory. `None` disables the registry watcher, the
     /// `/v1/models` endpoints answer from the resident model only, and
@@ -87,13 +75,9 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             conn_queue: 128,
-            predict_queue: 256,
             job_queue: 16,
             job_workers: 1,
-            request_deadline_ms: 30_000,
             deadline_max_ms: 600_000,
-            admission_target_ms: 0,
-            admission_interval_ms: 100,
             fault_key: 0,
             keepalive_idle_ms: 5_000,
             retry_after_s: 1,
@@ -123,8 +107,7 @@ impl ServeConfig {
             .min(8)
     }
 
-    /// The restart-backoff policy for supervised threads (batch collector,
-    /// job workers).
+    /// The restart-backoff policy for the supervised job workers.
     #[must_use]
     pub fn supervisor_backoff(&self) -> af_fault::RetryPolicy {
         af_fault::RetryPolicy {

@@ -9,7 +9,7 @@
 //!
 //! | route               | behaviour                                          |
 //! |---------------------|----------------------------------------------------|
-//! | `POST /v1/predict`  | metric prediction, batched with what is queued     |
+//! | `POST /v1/predict`  | metric prediction on the handler thread's session  |
 //! | `POST /v1/guide`    | potential-relaxation guidance on the `afrt` pool   |
 //! | `POST /v1/route`    | full guided routing as an async job (`202` + id)   |
 //! | `GET /v1/jobs/{id}` | job status/result from the persistent job store    |
@@ -17,11 +17,15 @@
 //! | `GET /metrics`      | Prometheus text export of the `af_obs` registry    |
 //! | `POST /v1/shutdown` | graceful shutdown (drains in-flight jobs)          |
 //!
-//! Robustness is part of the design, not an add-on: every internal queue is
-//! a bounded [`afrt::BoundedQueue`] whose depth is an obs gauge, overload
-//! sheds with `429` + `Retry-After`, queued waits respect a per-request
-//! deadline (`408`), connections are keep-alive with an idle timeout, and
-//! shutdown stops accepting, drains, and joins every thread.
+//! Robustness is part of the design, not an add-on: the connection and
+//! route-job queues are bounded [`afrt::BoundedQueue`]s whose depths are
+//! obs gauges, overload sheds with `429` + `Retry-After`, work whose
+//! per-request deadline has expired is shed with `408` before compute, a
+//! predict panic answers `503` and degrades `/healthz` instead of killing
+//! its handler, connections are keep-alive with an idle timeout, and
+//! shutdown stops accepting, drains, and joins every thread. A predict
+//! runs on the handler thread that read it, on a compiled model the thread
+//! keeps, so it waits in no queue behind the connection queue.
 //!
 //! [`http`] is the workspace's one HTTP module: the request and response
 //! parsers, the response writer, the listener and keep-alive loop that the
@@ -31,11 +35,11 @@
 //! `serde`/`serde_json`, matching the offline build constraint.
 
 pub mod api;
-pub mod batch;
 pub mod config;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
+mod predict;
 pub mod server;
 pub mod state;
 

@@ -7,14 +7,14 @@
 //! ```text
 //! accept thread ──try_push──▶ conn queue ──pop──▶ N handler workers
 //!                    │ (full: 429 + Retry-After, connection dropped)
-//! handler ──predict──▶ batch queue ──▶ collector thread (batches what is queued)
+//! handler ──predict──▶ its own compiled GnnProgram (on the handler thread)
 //! handler ──route────▶ job queue ────▶ M job workers (persist to store)
 //! ```
 //!
 //! Shutdown: trigger the listener's [`Shutdown`], join the accept thread,
 //! close the connection queue (workers drain it, then exit), then close
-//! and drain the predict and job queues — every accepted job completes
-//! before [`ServerHandle::join`] returns.
+//! and drain the job queue — every accepted job completes before
+//! [`ServerHandle::join`] returns.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -31,18 +31,18 @@ use crate::api::{
     parse_body, CanaryInfo, GuideRequest, GuideResponse, HealthResponse, ModelInfo, ModelsResponse,
     PredictRequest, PredictResponse, PromoteRequest, PromoteResponse, RouteAccepted, RouteRequest,
 };
-use crate::batch::{Batcher, SubmitError};
 use crate::config::ServeConfig;
 use crate::http::{json_or_500, Listener, Request, Response, Shutdown};
 use crate::jobs::{JobParams, JobRunner, JobStore};
 use crate::metrics::render_metrics;
+use crate::predict::{HandlerSession, PredictError, PredictPanics};
 use crate::state::{CanaryCtl, ModelBundle, ModelSlot};
 use crate::ServeError;
 
 struct Shared {
     slot: Arc<ModelSlot>,
     canary: Arc<CanaryCtl>,
-    batcher: Batcher,
+    predict_panics: PredictPanics,
     runner: Mutex<JobRunner>,
     store: Arc<JobStore>,
     cfg: ServeConfig,
@@ -75,8 +75,8 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds `cfg.addr`, spawns the accept/handler/batcher/job threads,
-    /// and returns the handle.
+    /// Binds `cfg.addr`, spawns the accept/handler/job threads, and
+    /// returns the handle.
     ///
     /// # Errors
     ///
@@ -90,12 +90,11 @@ impl Server {
         // Recovered results produced by a superseded model are marked, not
         // silently re-served as current.
         store.reconcile_model(&model_hash)?;
-        let batcher = Batcher::start(&slot, &cfg);
         let runner = JobRunner::start(&slot, &store, &canary, &cfg);
         let shared = Arc::new(Shared {
             slot,
             canary,
-            batcher,
+            predict_panics: PredictPanics::new(cfg.supervisor_grace()),
             runner: Mutex::new(runner),
             store,
             cfg: cfg.clone(),
@@ -129,8 +128,11 @@ impl Server {
                 thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
                     .spawn(move || {
+                        // This handler's predict program, compiled on its
+                        // first predict; no other thread touches it.
+                        let mut session = HandlerSession::default();
                         while let Some(stream) = q.pop() {
-                            keep_alive.serve(stream, |req| dispatch(&shared, req));
+                            keep_alive.serve(stream, |req| dispatch(&shared, req, &mut session));
                         }
                     })
                     .expect("spawn serve worker")
@@ -188,8 +190,8 @@ impl ServerHandle {
     }
 
     /// Blocks until the server has fully shut down: the accept loop has
-    /// exited, every queued connection has been served, and every queued
-    /// prediction and routing job has completed.
+    /// exited, every queued connection has been served (predictions run on
+    /// the handler threads), and every queued routing job has completed.
     pub fn join(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -202,10 +204,7 @@ impl ServerHandle {
         if let Some(watcher) = self.watcher.take() {
             let _ = watcher.join();
         }
-        // Connections are done; now drain the work queues behind them. The
-        // collector thread itself is joined when the last `Shared` reference
-        // drops (via the batcher's `Drop`).
-        self.shared.batcher.close_queue();
+        // Connections are done; now drain the job queue behind them.
         self.shared
             .runner
             .lock()
@@ -308,10 +307,10 @@ fn swap_resident(shared: &Shared, bundle: ModelBundle) -> Arc<ModelBundle> {
     old
 }
 
-fn dispatch(shared: &Shared, req: &Request) -> Response {
+fn dispatch(shared: &Shared, req: &Request, session: &mut HandlerSession) -> Response {
     // Deadline gate for every route: a malformed budget is a client error,
-    // an expired one is shed here — before the response cache, the batch
-    // queue, or the job store see the request.
+    // an expired one is shed here — before the response cache, the model,
+    // or the job store see the request.
     let deadline = match req.header(DEADLINE_HEADER) {
         Some(raw) => match Deadline::parse(raw, shared.cfg.deadline_max_ms) {
             Ok(d) => Some(d),
@@ -327,7 +326,7 @@ fn dispatch(shared: &Shared, req: &Request) -> Response {
         ("GET", "/healthz") => health(shared),
         ("GET", "/metrics") => Response::text(200, &render_metrics()),
         ("POST", "/v1/predict") => {
-            with_response_cache(shared, req, || predict(shared, req, deadline))
+            with_response_cache(shared, req, || predict(shared, req, deadline, session))
         }
         ("POST", "/v1/guide") => with_response_cache(shared, req, || guide(shared, req)),
         ("POST", "/v1/route") => route_job(shared, req, deadline),
@@ -390,8 +389,8 @@ fn health(shared: &Shared) -> Response {
         .runner
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let degraded = shared.batcher.is_degraded() || runner.is_degraded();
-    let restarts = shared.batcher.restarts() + runner.restarts();
+    let degraded = shared.predict_panics.is_degraded() || runner.is_degraded();
+    let restarts = shared.predict_panics.count() + runner.restarts();
     drop(runner);
     let bundle = shared.slot.get();
     json_or_500(
@@ -421,33 +420,32 @@ fn perf_from_metrics(m: [f64; 5]) -> Performance {
     }
 }
 
-fn predict(shared: &Shared, req: &Request, deadline: Option<Deadline>) -> Response {
-    // Adaptive admission: sustained predict-queue sojourn above target
-    // converts new (uncached) work into early 429s instead of queueing
-    // everyone into latency collapse. Cache hits never reach this point.
-    if shared.batcher.admission().should_shed() {
-        return Response::error(429, "queue delay above admission target")
-            .with_header("retry-after", shared.cfg.retry_after_s.to_string());
-    }
+fn predict(
+    shared: &Shared,
+    req: &Request,
+    deadline: Option<Deadline>,
+    session: &mut HandlerSession,
+) -> Response {
     let body: PredictRequest = match parse_body(&req.body) {
         Ok(b) => b,
         Err(msg) => return Response::error(400, &msg),
     };
-    let deadline =
-        deadline.unwrap_or_else(|| Deadline::after(shared.cfg.request_deadline_ms.max(1)));
-    match shared.batcher.predict(body.guidance, deadline) {
-        Ok(prediction) => json_or_500(
+    match session.predict(
+        &shared.slot,
+        &shared.predict_panics,
+        shared.cfg.fault_key,
+        &body.guidance,
+        deadline,
+    ) {
+        Ok(metrics) => json_or_500(
             200,
             &PredictResponse {
-                performance: perf_from_metrics(prediction.metrics),
-                batch_size: prediction.batch_size,
+                performance: perf_from_metrics(metrics),
             },
         ),
-        Err(SubmitError::Overloaded) => Response::error(429, "predict queue full")
-            .with_header("retry-after", shared.cfg.retry_after_s.to_string()),
-        Err(SubmitError::ShuttingDown) => Response::error(503, "server shutting down"),
-        Err(SubmitError::DeadlineExceeded) => Response::error(408, "request deadline exceeded"),
-        Err(SubmitError::Rejected(msg)) => Response::error(400, &msg),
+        Err(PredictError::DeadlineExceeded) => Response::error(408, "request deadline exceeded"),
+        Err(PredictError::Rejected(msg)) => Response::error(400, &msg),
+        Err(PredictError::Panicked) => Response::error(503, "prediction failed, retry"),
     }
 }
 

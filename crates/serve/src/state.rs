@@ -87,11 +87,11 @@ impl ModelBundle {
 }
 
 /// The hot-swappable model slot. Readers take a cheap `Arc` snapshot and
-/// keep using it for the duration of one request/batch/job, so a swap never
+/// keep using it for the duration of one request/job, so a swap never
 /// tears work in progress: in-flight requests finish on the model they
 /// started on, and only *new* work observes the replacement. The epoch
-/// counter lets the batch collector detect a swap between batches without
-/// holding the lock across a forward pass.
+/// counter lets a serve handler detect a swap before each prediction, and
+/// recompile its program, without taking the lock.
 #[derive(Debug)]
 pub struct ModelSlot {
     bundle: RwLock<Arc<ModelBundle>>,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tail-tolerance smoke test, as run in CI: a real 3-worker fleet where one
-# worker is made permanently slow through an env-armed `serve.batch.delay`
-# failpoint (prob 1.0: every batch sleeps).
+# worker is made permanently slow through an env-armed `serve.predict.delay`
+# failpoint (prob 1.0: every predict sleeps).
 #
 # The front must:
 #   * shed an expired `x-deadline-ms` with 408 *before* dialing any worker
@@ -63,9 +63,9 @@ start_worker() { # id log-file extra-env...
 
 W1_PID=$(start_worker gw1 w1.log); PIDS+=("$W1_PID")
 W2_PID=$(start_worker gw2 w2.log); PIDS+=("$W2_PID")
-# The slow worker: every batch its collector assembles sleeps DELAY_MS.
+# The slow worker: every predict it computes sleeps DELAY_MS first.
 SLOW_PID=$(start_worker gwslow wslow.log \
-    AF_FAULT="serve.batch.delay:delay:$DELAY_MS:1.0" AF_FAULT_SEED=1)
+    AF_FAULT="serve.predict.delay:delay:$DELAY_MS:1.0" AF_FAULT_SEED=1)
 PIDS+=("$SLOW_PID")
 W1=$(wait_addr "$WORK/w1.log" 's#^fleet worker .* at http://\([^ ]*\).*#\1#p' "$W1_PID")
 W2=$(wait_addr "$WORK/w2.log" 's#^fleet worker .* at http://\([^ ]*\).*#\1#p' "$W2_PID")
@@ -107,10 +107,14 @@ curl -sf -H "x-deadline-ms: 30000" -X POST --data-binary @"$WORK/body_0.json" \
     || { echo "budgeted predict failed"; exit 1; }
 
 echo "=== expired deadlines are shed with 408 before any worker is dialed"
-# serve_predict_sojourn_ms_count counts work that actually entered a batch
-# collector (metrics scrapes and health checks leave it untouched).
-WORKED=serve_predict_sojourn_ms_count
+# serve_predict_compute_ms_count counts predicts that reached a forward
+# pass (metrics scrapes and health checks leave it untouched). The budgeted
+# predict above reached one, so the sum starts at 1 or more: an absent
+# metric, which reads 0, cannot make the check below pass vacuously.
+WORKED=serve_predict_compute_ms_count
 BEFORE=$(( $(metric "$W1" $WORKED) + $(metric "$W2" $WORKED) + $(metric "$WSLOW" $WORKED) ))
+[ "$BEFORE" -ge 1 ] \
+    || { echo "$WORKED reads $BEFORE after a served predict, wanted >= 1"; exit 1; }
 for value in 0 @1; do
     CODE=$(curl -s -o "$WORK/shed.json" -w '%{http_code}' -H "x-deadline-ms: $value" \
         -X POST --data-binary @"$WORK/body_1.json" "http://$FRONT/v1/predict")

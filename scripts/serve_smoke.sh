@@ -4,9 +4,9 @@
 # /healthz, /v1/predict, /v1/route (to completion), and /metrics,
 # asserting well-formed JSON and Prometheus output, then shut down
 # gracefully. A second, fault-armed server run (AF_FAULT) then verifies
-# the supervisor: a collector panic answers the in-flight predict with
-# 503, /healthz reports degraded then recovers, and the fault_*/
-# supervisor_* counters surface in /metrics.
+# panic recovery: a predict panic answers its request with 503, /healthz
+# reports degraded then recovers, and the fault_fired_serve_predict and
+# serve_predict_panics counters surface in /metrics.
 #
 # Usage: scripts/serve_smoke.sh [path-to-analogfold-cli]
 set -euo pipefail
@@ -51,8 +51,13 @@ python3 -c 'import sys; n=int(sys.argv[1]); print("{\"guidance\":["+",".join(["0
     > "$WORK/predict_body.json"
 curl -sf -X POST --data-binary @"$WORK/predict_body.json" "http://$ADDR/v1/predict" \
     | tee "$WORK/predict.json" | json_ok
-grep -q '"performance"' "$WORK/predict.json"
-grep -q '"batch_size"' "$WORK/predict.json"
+python3 - "$WORK/predict.json" <<'PY'
+import json, sys
+perf = json.load(open(sys.argv[1]))["performance"]
+keys = {"offset_uv", "cmrr_db", "bandwidth_mhz", "dc_gain_db", "noise_uvrms"}
+assert set(perf) == keys, f"performance keys {sorted(perf)}, wanted {sorted(keys)}"
+assert all(isinstance(v, float) for v in perf.values()), perf
+PY
 
 echo "=== /v1/predict again: identical request must be a response-cache hit"
 curl -sf -D "$WORK/predict2.headers" -X POST --data-binary @"$WORK/predict_body.json" \
@@ -106,8 +111,8 @@ curl -sf -X POST "http://$ADDR/v1/shutdown" > /dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
 
-echo "=== chaos: collector panic -> 503 -> degraded -> recovered"
-AF_FAULT="serve.batch:panic:1.0:1" AF_FAULT_SEED=7 \
+echo "=== chaos: predict panic -> 503 -> degraded -> recovered"
+AF_FAULT="serve.predict:panic:1.0:1" AF_FAULT_SEED=7 \
     "$BIN" serve OTA1 A --model "$WORK/model.json" --addr 127.0.0.1:0 \
     --jobs "$WORK/jobs-chaos" > "$WORK/serve-chaos.log" 2>&1 &
 SERVE_PID=$!
@@ -122,11 +127,11 @@ done
 [ -n "$ADDR" ] || { echo "chaos server did not report an address"; cat "$WORK/serve-chaos.log"; exit 1; }
 echo "chaos server at $ADDR"
 
-# The first batch the collector assembles hits the one-shot panic
-# failpoint; the in-flight request must get an error, never a hang.
+# The first predict hits the one-shot panic failpoint on its handler
+# thread; the request must get an error, never a hang.
 STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     --data-binary @"$WORK/predict_body.json" "http://$ADDR/v1/predict")
-[ "$STATUS" = 503 ] || { echo "expected 503 from the panicked batch, got $STATUS"; exit 1; }
+[ "$STATUS" = 503 ] || { echo "expected 503 from the panicked predict, got $STATUS"; exit 1; }
 echo "in-flight predict answered 503"
 
 curl -sf "http://$ADDR/healthz" > "$WORK/health-chaos.json"
@@ -149,10 +154,10 @@ curl -sf -X POST --data-binary @"$WORK/predict_body.json" "http://$ADDR/v1/predi
 echo "post-recovery predict OK"
 
 curl -sf "http://$ADDR/metrics" > "$WORK/metrics-chaos.txt"
-grep -q '^fault_fired_serve_batch ' "$WORK/metrics-chaos.txt" \
-    || { echo "missing fault_fired_serve_batch counter"; grep '^fault' "$WORK/metrics-chaos.txt" || true; exit 1; }
-grep -q '^supervisor_serve_batcher_restarts ' "$WORK/metrics-chaos.txt" \
-    || { echo "missing supervisor restart counter"; grep '^supervisor' "$WORK/metrics-chaos.txt" || true; exit 1; }
+grep -q '^fault_fired_serve_predict ' "$WORK/metrics-chaos.txt" \
+    || { echo "missing fault_fired_serve_predict counter"; grep '^fault' "$WORK/metrics-chaos.txt" || true; exit 1; }
+grep -q '^serve_predict_panics ' "$WORK/metrics-chaos.txt" \
+    || { echo "missing serve_predict_panics counter"; grep '^serve_predict' "$WORK/metrics-chaos.txt" || true; exit 1; }
 echo "fault counters present in /metrics"
 
 curl -sf -X POST "http://$ADDR/v1/shutdown" > /dev/null

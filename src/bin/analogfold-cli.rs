@@ -76,8 +76,7 @@ const USAGE: &str = "usage:
                           [--threads N] [--jobs DIR] [--cache-mb N] [--no-cache]
                           [--canary-fraction X] [--train] [--train-interval-ms N]
                           [--train-min-samples N] [--train-epochs N] [--obs-jsonl FILE]
-                          [--deadline-max-ms N] [--admission-target-ms N]
-                          [--admission-interval-ms N] [--fault-key N]
+                          [--deadline-max-ms N] [--fault-key N]
   analogfold-cli models   <list|show HASH|promote [HASH] [--force]|rollback|gc [--keep N]>
                           --registry DIR
   analogfold-cli fleet-coord  [--addr HOST:PORT] [--lease-ms N]
@@ -492,16 +491,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         registry: registry_dir.clone(),
         canary_fraction: flag_f64(args, "--canary-fraction", dflt.canary_fraction),
         deadline_max_ms: flag_num(args, "--deadline-max-ms", dflt.deadline_max_ms as usize) as u64,
-        admission_target_ms: flag_num(
-            args,
-            "--admission-target-ms",
-            dflt.admission_target_ms as usize,
-        ) as u64,
-        admission_interval_ms: flag_num(
-            args,
-            "--admission-interval-ms",
-            dflt.admission_interval_ms as usize,
-        ) as u64,
         fault_key: flag_num(args, "--fault-key", dflt.fault_key as usize) as u64,
         ..dflt
     };

@@ -21,8 +21,8 @@
 //!   dataset generation (registration, heartbeats, rendezvous-hashed
 //!   fronting, leased shard generation).
 //! * [`guard`] — tail tolerance for the serve/fleet tier: end-to-end
-//!   deadline propagation, per-worker circuit breakers, hedged requests,
-//!   and CoDel-style adaptive admission.
+//!   deadline propagation, per-worker circuit breakers, and hedged
+//!   requests.
 //! * [`model`] — versioned model registry (content-hash ids, lineage,
 //!   promote/rollback/gc), canary scoring, and the background trainer that
 //!   closes the train→serve loop.

@@ -13,9 +13,9 @@
 //!    from the same per-sample seeds).
 //! 2. **Permanent faults degrade, never hang or abort** — failed samples
 //!    are recorded in the checkpoint, a flow with no routable candidate
-//!    falls back to unguided routing, and a panicked batch collector
-//!    answers in-flight requests with `503` while `/healthz` reports
-//!    `degraded` until the supervisor's replacement thread proves stable.
+//!    falls back to unguided routing, and a predict that panics on a serve
+//!    handler answers its request with `503` while `/healthz` reports
+//!    `degraded` for the recovery grace.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -306,8 +306,8 @@ fn env_armed_flow_completes() {
 }
 
 // ---------------------------------------------------------------------------
-// Serving tier: collector panic → 503 for in-flight work, degraded health,
-// supervisor restart, full recovery.
+// Serving tier: a predict panic on a handler thread → 503 for that request,
+// degraded health for the grace window, full recovery.
 
 /// One-shot request on a fresh connection.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> RawResponse {
@@ -321,11 +321,11 @@ fn health(addr: SocketAddr) -> HealthResponse {
 }
 
 #[test]
-fn serve_recovers_from_collector_panic() {
+fn serve_recovers_from_a_predict_panic() {
     let _guard = fault::scenario();
-    // Exactly one panic, armed before the server starts: the first batch
-    // the collector assembles kills it.
-    fault::arm_limited("serve.batch", FaultMode::Panic, 1.0, Some(1));
+    // Exactly one panic, armed before the server starts: the first predict
+    // panics on its handler thread.
+    fault::arm_limited("serve.predict", FaultMode::Panic, 1.0, Some(1));
 
     let bundle = ModelBundle::with_model("OTA1", "A", small_gnn()).unwrap();
     let guidance_len = bundle.guidance_len();
@@ -347,8 +347,8 @@ fn serve_recovers_from_collector_panic() {
         first.text()
     );
 
-    // The supervisor marks the server degraded for backoff + grace
-    // (≥ 420 ms here), so polling right after the 503 must observe it.
+    // The panic marks the server degraded for the grace (400 ms here), so
+    // polling right after the 503 must observe it.
     let deadline = Instant::now() + Duration::from_millis(300);
     let mut saw_degraded = false;
     while Instant::now() < deadline {
@@ -360,7 +360,7 @@ fn serve_recovers_from_collector_panic() {
     }
     assert!(saw_degraded, "/healthz must report the restart window");
 
-    // ... and clears the flag once the replacement collector holds.
+    // ... and clears the flag once the grace has passed.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let now = health(addr);
@@ -656,8 +656,8 @@ fn trainer_killed_mid_finetune_never_exposes_a_half_written_candidate() {
 
 // ---------------------------------------------------------------------------
 // Tail tolerance: one of three serve replicas is deterministically slow (a
-// seeded `serve.batch.delay` failpoint fires on every batch of exactly one
-// worker), the front hedges around it, the latency breaker trips it out of
+// seeded `serve.predict.delay` failpoint fires on every predict of exactly
+// one worker), the front hedges around it, the latency breaker trips it out of
 // the ring, and a disarmed run heals the breaker back to closed — while the
 // predicted performance stays bit-identical at every server thread count.
 
@@ -676,17 +676,17 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
 
     // Whether the delay fires is a pure function of (seed, fault_key), so a
     // small scan finds a seed under which exactly one of the three replicas
-    // is slow — on every batch, at every thread count, in every run.
+    // is slow — on every predict, at every thread count, in every run.
     let fault_seed = (1u64..100_000)
         .find(|&s| {
             (0..WORKERS)
-                .filter(|&k| fault::would_fire(s, "serve.batch.delay", k, PROB))
+                .filter(|&k| fault::would_fire(s, "serve.predict.delay", k, PROB))
                 .count()
                 == 1
         })
         .expect("some seed slows exactly one of three workers");
     let slow_idx = (0..WORKERS)
-        .find(|&k| fault::would_fire(fault_seed, "serve.batch.delay", k, PROB))
+        .find(|&k| fault::would_fire(fault_seed, "serve.predict.delay", k, PROB))
         .unwrap();
     let slow_id = format!("cw{slow_idx}");
 
@@ -702,10 +702,6 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
         )
     };
 
-    // A reply's `batch_size` is not compared: with 4 or 8 handlers a request
-    // can share a batch with an abandoned hedge leg still queued on that
-    // worker. Batching never changes `performance`, so that is compared
-    // bit for bit.
     let performance_bits = |reply: &RawResponse| -> [u64; 5] {
         reply
             .json::<PredictResponse>()
@@ -719,7 +715,7 @@ fn fleet_slow_worker_is_hedged_tripped_and_healed() {
     for threads in [1usize, 4, 8] {
         fault::disarm_all();
         fault::set_seed(fault_seed);
-        fault::arm_spec(&format!("serve.batch.delay:delay:{DELAY_MS}:{PROB}")).unwrap();
+        fault::arm_spec(&format!("serve.predict.delay:delay:{DELAY_MS}:{PROB}")).unwrap();
 
         let coord = Coordinator::bind(CoordinatorConfig {
             addr: "127.0.0.1:0".to_string(),
